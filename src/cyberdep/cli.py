@@ -15,6 +15,8 @@ from . import depgraph, graphio, ingest, scenario, synth, topology
 from .errors import CyberDepError, FormatError, ValidationError
 
 _FORMAT_SUFFIXES = {".json": "json", ".dot": "dot", ".gv": "dot", ".graphml": "graphml"}
+#: Rejected lines listed by ``-v``; the rest are only counted.
+_SHOWN_REJECTIONS = 20
 
 
 def _diag(message: str) -> None:
@@ -58,32 +60,32 @@ def _pick_format(args) -> str:
 
 def _build_from_capture(args, capture_path: str, topo: topology.Topology):
     window = ingest.parse_packet_log(_read_input(capture_path), source_label=capture_path)
-    filtered = ingest.filter_dnp3(window)
-    mapped, unmapped = topology.map_window(topo, filtered)
-    counts = depgraph.count_flows(mapped, window.source_label)
-    dropped_total = 0
-    if not args.no_scada_collapse:
-        counts, dropped_total = depgraph.collapse_to_scada(counts, topo)
-    graph = depgraph.edge_probabilities(
-        counts, depgraph.Normalization(args.normalization), topo.roles()
+    options = depgraph.GraphOptions(
+        scada_collapse=not args.no_scada_collapse,
+        normalization=depgraph.Normalization(args.normalization),
     )
+    result = depgraph.build_graph(window, topo, options)
 
     stats = window.stats
+    retained = stats.parsed - result.filtered_out
     _diag(
         f"{capture_path}: parsed {stats.parsed}/{stats.total} lines "
-        f"({stats.rejected} rejected); dnp3 retained {len(filtered.records)} "
-        f"(filtered out {filtered.stats.filtered_out})"
+        f"({stats.rejected} rejected); dnp3 retained {retained} "
+        f"(filtered out {result.filtered_out})"
     )
     _diag(
-        f"{capture_path}: mapped {len(mapped)} records "
-        f"({unmapped.records} unmapped); non-scada flow dropped: {dropped_total}"
+        f"{capture_path}: mapped {retained - result.unmapped.records} records "
+        f"({result.unmapped.records} unmapped); non-scada flow dropped: {result.scada_dropped}"
     )
     if args.verbose:
-        for reject in window.rejections[:20]:
+        for reject in window.rejections[:_SHOWN_REJECTIONS]:
             _diag(f"  rejected line {reject.line_no}: {reject.reason}")
-        for addr, n in sorted(unmapped.by_addr.items()):
+        hidden = len(window.rejections) - _SHOWN_REJECTIONS
+        if hidden > 0:
+            _diag(f"  ... {hidden} more rejected lines not shown")
+        for addr, n in sorted(result.unmapped.by_addr.items()):
             _diag(f"  unmapped address {addr}: {n} records")
-    return graph
+    return result.graph
 
 
 def cmd_build(args) -> int:
@@ -115,14 +117,10 @@ def cmd_query(args) -> int:
 
 def cmd_synth(args) -> int:
     topo = _load_topology(args)
+    overrides = {"n_messages": args.n, "seed": args.seed, "noise_fraction": args.noise_fraction}
+    overrides = {key: value for key, value in overrides.items() if value is not None}
     if args.profile in synth.BUILTIN_PROFILES:
-        profile = synth.builtin_profile(
-            args.profile,
-            topo,
-            n_messages=args.n if args.n is not None else synth.DEFAULT_N_MESSAGES,
-            seed=args.seed if args.seed is not None else synth.DEFAULT_SEED,
-            noise_fraction=args.noise_fraction,
-        )
+        profile = synth.builtin_profile(args.profile, topo, **overrides)
     else:
         path = Path(args.profile)
         if not path.is_file():
@@ -130,14 +128,7 @@ def cmd_synth(args) -> int:
                 f"profile {args.profile!r} is neither a built-in "
                 f"({', '.join(synth.BUILTIN_PROFILES)}) nor a file"
             )
-        profile = synth.load_profile(path.read_bytes())
-        overrides = {}
-        if args.n is not None:
-            overrides["n_messages"] = args.n
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if overrides:
-            profile = dataclasses.replace(profile, **overrides)
+        profile = dataclasses.replace(synth.load_profile(path.read_bytes()), **overrides)
     payload = synth.generate(profile, topo)
     _write_output(args.out, payload)
     _diag(
@@ -248,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument(
         "--noise-fraction",
         type=float,
-        default=0.0,
-        help="fraction of extra non-DNP3 noise records (built-in profiles only)",
+        default=None,
+        help="fraction of extra non-DNP3 noise records",
     )
     common(p_synth)
 

@@ -22,11 +22,11 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import QueryError, ValidationError
 from .ingest import DNP3_SYSCALLS, CaptureWindow, Dnp3MessageType, filter_dnp3
-from .topology import DeviceRole, MappedMessage, Topology, map_window
+from .topology import DeviceRole, MappedMessage, Topology, UnmappedReport, map_window
 
 PROBABILITY_SUM_TOL = 1e-9
 
@@ -69,19 +69,6 @@ def count_flows(mapped: Iterable[MappedMessage], window_label: str = "") -> Flow
         by_type = entries.setdefault((m.src.name, m.dst.name), {})
         by_type[m.message_type] = by_type.get(m.message_type, 0) + 1
     return FlowCounts(entries, window_label)
-
-
-def merge_counts(a: FlowCounts, b: FlowCounts) -> FlowCounts:
-    """Combine partial counts from independent shards (associative, commutative)."""
-    entries: dict[tuple[str, str], dict[Dnp3MessageType, int]] = {
-        pair: dict(by_type) for pair, by_type in a.entries.items()
-    }
-    for pair, by_type in b.entries.items():
-        tgt = entries.setdefault(pair, {})
-        for mt, n in by_type.items():
-            tgt[mt] = tgt.get(mt, 0) + n
-    label = a.window_label if a.window_label == b.window_label else ""
-    return FlowCounts(entries, label)
 
 
 def collapse_to_scada(counts: FlowCounts, topology: Topology) -> tuple[FlowCounts, int]:
@@ -168,6 +155,8 @@ class DependencyGraph:
     edges: tuple[DgEdge, ...]
     normalization: Normalization = Normalization.NONE
     grand_total: int = 0
+    _names: frozenset = field(init=False, repr=False, compare=False, default=frozenset())
+    _by_key: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _in_edges: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
@@ -182,11 +171,11 @@ class DependencyGraph:
                 raise ValidationError(f"duplicate node {n.name!r}")
             names.add(n.name)
 
-        seen = set()
+        by_key = {}
         for e in edges:
-            if e.key in seen:
+            if e.key in by_key:
                 raise ValidationError(f"duplicate edge {e.source}->{e.sink}")
-            seen.add(e.key)
+            by_key[e.key] = e
             for endpoint in e.key:
                 if endpoint not in names:
                     raise ValidationError(
@@ -220,21 +209,45 @@ class DependencyGraph:
                     raise ValidationError(
                         f"per-sink normalization violated at {sink!r}: sum {total!r}"
                     )
+        if self.normalization is not Normalization.NONE:
+            sink_totals: dict[str, int] = defaultdict(int)
+            for e in edges:
+                if e.count != sum(e.by_type.values()):
+                    raise ValidationError(
+                        f"edge {e.source}->{e.sink}: count {e.count} != by_type total "
+                        f"{sum(e.by_type.values())}"
+                    )
+                sink_totals[e.sink] += e.count
+            if self.grand_total != sum(sink_totals.values()):
+                raise ValidationError(
+                    f"grand_total {self.grand_total} != edge count total "
+                    f"{sum(sink_totals.values())}"
+                )
+            sink_shares = self.normalization is Normalization.PER_SINK
+            for e in edges:
+                share = e.count / (sink_totals[e.sink] if sink_shares else self.grand_total)
+                if abs(e.probability - share) > PROBABILITY_SUM_TOL:
+                    raise ValidationError(
+                        f"edge {e.source}->{e.sink}: probability {e.probability!r} "
+                        f"!= count share {share!r}"
+                    )
 
         in_edges: dict[str, list[DgEdge]] = defaultdict(list)
         for e in edges:
             in_edges[e.sink].append(e)
+        object.__setattr__(self, "_names", frozenset(names))
+        object.__setattr__(self, "_by_key", by_key)
         object.__setattr__(self, "_in_edges", dict(in_edges))
 
     def has_node(self, name: str) -> bool:
-        return any(n.name == name for n in self.nodes)
+        return name in self._names
 
     def parents_of(self, name: str) -> tuple[DgEdge, ...]:
         """In-edges of a node, sorted by source name."""
         return tuple(self._in_edges.get(name, ()))
 
     def edge(self, source: str, sink: str) -> DgEdge | None:
-        return next((e for e in self.edges if e.key == (source, sink)), None)
+        return self._by_key.get((source, sink))
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +309,15 @@ def noisy_or(parent_probs: Sequence[float], active: Sequence[int | bool]) -> flo
         raise ValueError(
             f"length mismatch: {len(parent_probs)} probabilities, {len(active)} flags"
         )
-    product = 1.0
-    for p, a in zip(parent_probs, active):
+    for p in parent_probs:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probability outside [0, 1]: {p!r}")
-        if a:
-            product *= 1.0 - p
-    return 1.0 - product
+    live = [p for p, a in zip(parent_probs, active) if a]
+    if 1.0 in live:
+        return 1.0
+    # Summing log(1 - p) avoids the cancellation in 1 - prod(1 - p) at small p;
+    # subtracting from 0.0 keeps the empty product at +0.0 rather than -0.0.
+    return 0.0 - math.expm1(math.fsum(math.log1p(-p) for p in live))
 
 
 @dataclass(frozen=True)
@@ -340,37 +355,34 @@ def query(graph: DependencyGraph, q: ConditionalQuery) -> float:
 class GraphOptions:
     scada_collapse: bool = True
     normalization: Normalization = Normalization.GLOBAL
-    include_topology_nodes: bool = False
+
+
+class BuildResult(NamedTuple):
+    """A built graph plus the drop counts that its capture window does not carry.
+
+    Retained records = parsed - filtered_out; mapped = retained - unmapped.records.
+    """
+
+    graph: DependencyGraph
+    filtered_out: int
+    unmapped: UnmappedReport
+    scada_dropped: int
 
 
 def build_graph(
     window: CaptureWindow,
     topology: Topology,
     options: GraphOptions = GraphOptions(),
-) -> DependencyGraph:
+) -> BuildResult:
     """Run the full pipeline: filter, map, count, optionally collapse, normalize.
 
-    Deterministic: identical inputs produce identical graphs. With
-    ``include_topology_nodes`` the SCADA master and field devices appear as
-    nodes even when they carried no traffic.
+    Deterministic: identical inputs produce identical graphs.
     """
     filtered = filter_dnp3(window)
-    mapped, _ = map_window(topology, filtered)
+    mapped, unmapped = map_window(topology, filtered)
     counts = count_flows(mapped, window.source_label)
+    scada_dropped = 0
     if options.scada_collapse:
-        counts, _ = collapse_to_scada(counts, topology)
+        counts, scada_dropped = collapse_to_scada(counts, topology)
     graph = edge_probabilities(counts, options.normalization, topology.roles())
-
-    if options.include_topology_nodes:
-        present = {n.name for n in graph.nodes}
-        extra = tuple(
-            DgNode(d.name, d.role)
-            for d in topology.devices
-            if d.role in (DeviceRole.SCADA_MASTER, DeviceRole.FIELD_DEVICE)
-            and d.name not in present
-        )
-        if extra:
-            graph = DependencyGraph(
-                graph.nodes + extra, graph.edges, graph.normalization, graph.grand_total
-            )
-    return graph
+    return BuildResult(graph, filtered.stats.filtered_out, unmapped, scada_dropped)

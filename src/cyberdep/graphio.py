@@ -40,7 +40,7 @@ def graph_to_json_dict(graph: DependencyGraph) -> dict:
                 "sink": e.sink,
                 "probability": e.probability,
                 "count": e.count,
-                "by_type": {mt.wire: e.by_type[mt] for mt in DNP3_SYSCALLS},
+                "by_type": {mt.value: e.by_type[mt] for mt in DNP3_SYSCALLS},
             }
             for e in graph.edges
         ],
@@ -141,6 +141,11 @@ def graph_to_dot(graph: DependencyGraph) -> str:
 # ---------------------------------------------------------------------------
 
 _GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
+# Characters XML 1.0 forbids even as character references. A set, because
+# the equivalent regex takes milliseconds to compile at import.
+_NON_XML_CHARS = frozenset(
+    map(chr, [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), *range(0xD800, 0xE000)])
+) | {"\ufffe", "\uffff"}
 
 
 def graph_to_graphml(graph: DependencyGraph) -> bytes:
@@ -159,6 +164,8 @@ def graph_to_graphml(graph: DependencyGraph) -> bytes:
         )
     g = ET.SubElement(root, "graph", id="dependency_graph", edgedefault="directed")
     for n in graph.nodes:
+        if not _NON_XML_CHARS.isdisjoint(n.name):
+            raise FormatError(f"node {n.name!r} holds a character XML cannot represent")
         node_el = ET.SubElement(g, "node", id=n.name)
         ET.SubElement(node_el, "data", key="role").text = n.role.value
     for e in graph.edges:

@@ -33,10 +33,6 @@ class Dnp3MessageType(Enum):
     DIRECT_OPERATE = "direct_operate"
     OTHER = "other"
 
-    @property
-    def wire(self) -> str:
-        return self.value
-
 
 #: The four DNP3 function codes that survive filtering, in canonical order.
 DNP3_SYSCALLS = (
@@ -210,7 +206,7 @@ def export_csv(window: CaptureWindow, out: BinaryIO) -> int:
     """
     out.write(CSV_HEADER.encode("ascii") + b"\n")
     for r in window.records:
-        row = f"{r.ts_us},{r.src_addr},{r.dst_addr},{r.message_type.wire}\n"
+        row = f"{r.ts_us},{r.src_addr},{r.dst_addr},{r.message_type.value}\n"
         out.write(row.encode("ascii"))
     return len(window.records)
 

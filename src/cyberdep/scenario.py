@@ -61,17 +61,10 @@ def uniformity_check(graph: DependencyGraph, tol: float) -> UniformityResult:
     return UniformityResult(deviation <= tol, deviation)
 
 
-@dataclass(frozen=True)
-class SignatureNames:
-    """Device names the scenario signature patterns are keyed to."""
-
-    scada: str = "scada"
-    load5: str = "load-5"
-    load6: str = "load-6"
-    gen1: str = "gen-1"
-
-
-DEFAULT_SIGNATURE_NAMES = SignatureNames()
+#: The edges the scenario signature patterns are keyed to.
+LOAD5_EDGE = ("load-5", "scada")
+LOAD6_EDGE = ("load-6", "scada")
+GEN1_EDGE = ("gen-1", "scada")
 
 #: Default tolerance for calling sampled baseline traffic "uniform".
 DEFAULT_UNIFORMITY_TOL = 0.02
@@ -190,7 +183,6 @@ def _all_or_none(results: list[bool]) -> bool | None:
 def compare(
     runs: Iterable[ScenarioRun],
     uniformity_tol: float = DEFAULT_UNIFORMITY_TOL,
-    names: SignatureNames = DEFAULT_SIGNATURE_NAMES,
 ) -> ComparisonReport:
     """Build a deterministic comparison report over an experiment set.
 
@@ -230,8 +222,7 @@ def compare(
             )
         )
 
-    load_edges = {(names.load5, names.scada), (names.load6, names.scada)}
-    gen1_edge = (names.gen1, names.scada)
+    load_edges = {LOAD5_EDGE, LOAD6_EDGE}
 
     baseline_checks = [
         uniformity_check(run.graph, uniformity_tol).uniform
@@ -244,14 +235,14 @@ def compare(
         if run.scenario is ScenarioKind.DOS_ONLY
     ]
     nomit_checks = [
-        _top_keys(rankings[run.key], 2) == {gen1_edge, (names.load5, names.scada)}
+        _top_keys(rankings[run.key], 2) == {GEN1_EDGE, LOAD5_EDGE}
         for run in ordered
         if run.scenario is ScenarioKind.NO_MITIGATION
     ]
     mit_checks = [
         len(rankings[run.key]) >= 3
         and _top_keys(rankings[run.key], 2) == load_edges
-        and rankings[run.key][2].key == gen1_edge
+        and rankings[run.key][2].key == GEN1_EDGE
         for run in ordered
         if run.scenario is ScenarioKind.WITH_MITIGATION
     ]

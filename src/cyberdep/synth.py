@@ -147,7 +147,7 @@ def generate(profile: TrafficProfile, topology: Topology) -> bytes:
             src, dst = scada_addr, addr
         else:
             src, dst = addr, scada_addr
-        emit({"src": src, "dst": dst, "proto": "dnp3", "dnp3_fn": mt.wire})
+        emit({"src": src, "dst": dst, "proto": "dnp3", "dnp3_fn": mt.value})
         if n_noise and noise_emitted < n_noise and (i + 1) % stride == 0:
             target = device_addr[pick_device()]
             emit({"src": NOISE_SOURCE_ADDR, "dst": target, "proto": "tcp"})

@@ -49,6 +49,8 @@ class Topology:
     devices: tuple[Device, ...]
     label: str = ""
     _by_addr: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _by_name: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    scada_master: Device = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         names = Counter(d.name for d in self.devices)
@@ -66,24 +68,22 @@ class Topology:
                     )
                 by_addr[addr] = dev
 
-        masters = [d.name for d in self.devices if d.role is DeviceRole.SCADA_MASTER]
+        masters = [d for d in self.devices if d.role is DeviceRole.SCADA_MASTER]
         if len(masters) != 1:
             raise ValidationError(
                 f"topology must declare exactly one SCADA master, found "
-                f"{len(masters)}: {sorted(masters)}"
+                f"{len(masters)}: {sorted(d.name for d in masters)}"
             )
         object.__setattr__(self, "_by_addr", by_addr)
-
-    @property
-    def scada_master(self) -> Device:
-        return next(d for d in self.devices if d.role is DeviceRole.SCADA_MASTER)
+        object.__setattr__(self, "_by_name", {d.name: d for d in self.devices})
+        object.__setattr__(self, "scada_master", masters[0])
 
     def resolve(self, addr: str) -> Device | None:
         """Return the unique device owning addr, or None if undeclared."""
         return self._by_addr.get(addr)
 
     def device(self, name: str) -> Device | None:
-        return next((d for d in self.devices if d.name == name), None)
+        return self._by_name.get(name)
 
     def roles(self) -> dict[str, DeviceRole]:
         return {d.name: d.role for d in self.devices}
@@ -140,7 +140,6 @@ class MappedMessage:
     src: Device
     dst: Device
     message_type: Dnp3MessageType
-    ts_us: int
 
 
 @dataclass(frozen=True)
@@ -173,5 +172,5 @@ def map_window(
             if dst is None:
                 unknown[r.dst_addr] += 1
             continue
-        mapped.append(MappedMessage(src, dst, r.message_type, r.ts_us))
+        mapped.append(MappedMessage(src, dst, r.message_type))
     return tuple(mapped), UnmappedReport(records=dropped, by_addr=dict(unknown))

@@ -119,6 +119,17 @@ class TestBuild:
         err = capsys.readouterr().err
         assert "rejected line 3" in err
         assert "unmapped address 192.0.2.200" in err
+        assert "not shown" not in err
+
+    def test_verbose_counts_unlisted_rejections(self, topo_file, tmp_path, capsys):
+        capture = tmp_path / "broken.jsonl"
+        capture.write_bytes(b"{broken\n" * 23)
+        assert main(["build", "-v", "--in", str(capture), "--topo", str(topo_file),
+                     "--out", str(tmp_path / "g.json")]) == 0
+        err = capsys.readouterr().err
+        assert "rejected line 20:" in err
+        assert "rejected line 21:" not in err
+        assert "  ... 3 more rejected lines not shown" in err
 
 
 class TestExport:
@@ -215,6 +226,19 @@ class TestSynth:
         lines = out.read_bytes().splitlines()
         assert len(lines) == 110
         assert sum(1 for l in lines if b'"proto":"tcp"' in l) == 10
+
+    def test_noise_fraction_overrides_profile_document(self, tmp_path, topo_file):
+        doc = {"scenario": "baseline", "weights": {"dev-01": 1.0}, "n_messages": 20,
+               "noise_fraction": 0.5}
+        prof = tmp_path / "profile.json"
+        prof.write_text(json.dumps(doc))
+        for flag, n_noise in (([], 10), (["--noise-fraction", "0.1"], 2)):
+            out = tmp_path / "cap.jsonl"
+            assert main(["synth", "--profile", str(prof), "--topo", str(topo_file),
+                         "--out", str(out), *flag]) == 0
+            lines = out.read_bytes().splitlines()
+            assert sum(1 for l in lines if b'"proto":"tcp"' in l) == n_noise
+            assert len(lines) == 20 + n_noise
 
 
 class TestCompare:

@@ -1,9 +1,11 @@
 """Graph serialization: JSON round-trip, DOT text, GraphML structure, determinism."""
 
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyberdep.depgraph import (
     DependencyGraph,
@@ -13,7 +15,7 @@ from cyberdep.depgraph import (
     Normalization,
     edge_probabilities,
 )
-from cyberdep.errors import FormatError
+from cyberdep.errors import FormatError, ValidationError
 from cyberdep.ingest import Dnp3MessageType
 from cyberdep.graphio import (
     FORMATS,
@@ -112,6 +114,17 @@ class TestJson:
         with pytest.raises(Exception, match="sum"):
             load_graph_json(json.dumps(doc).encode())
 
+    def test_inconsistent_counts_rejected_on_load(self):
+        doc = {
+            "nodes": [{"name": "a"}, {"name": "s"}],
+            "edges": [{"source": "a", "sink": "s", "probability": 1.0, "count": 5,
+                       "by_type": {"read": 999}}],
+            "normalization": "global",
+            "grand_total": 3,
+        }
+        with pytest.raises(ValidationError, match="edge a->s"):
+            load_graph_json(json.dumps(doc).encode())
+
 
 class TestDot:
     def test_sample_graph_text(self, sample_graph):
@@ -177,6 +190,32 @@ class TestGraphml:
             if d.get("key") == "probability"
         ]
         assert sorted(probs) == [0.2, 0.3, 0.7, 0.8]
+
+
+# Characters XML 1.0 cannot hold, not even as character references.
+NON_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+name_chars = st.one_of(
+    st.characters(),
+    st.sampled_from(["\x00", "\x01", "\x1f", "\t", "\n", "\r", "\ud800", "\ufffe", "\uffff"]),
+)
+
+
+@given(st.lists(st.text(name_chars, max_size=6), min_size=2, max_size=4, unique=True))
+@settings(max_examples=300)
+def test_graphml_round_trips_names_or_rejects_them(names):
+    edges = tuple(DgEdge(src, sink, 0.5) for src, sink in zip(names, names[1:]))
+    graph = DependencyGraph(tuple(DgNode(n) for n in names), edges, Normalization.NONE)
+    if any(NON_XML.search(n) for n in names):
+        with pytest.raises(FormatError, match="XML"):
+            graph_to_graphml(graph)
+        return
+    root = ET.fromstring(graph_to_graphml(graph))
+    ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
+    graph_el = root.find("g:graph", ns)
+    node_ids = [n.get("id") for n in graph_el.findall("g:node", ns)]
+    endpoints = [(e.get("source"), e.get("target")) for e in graph_el.findall("g:edge", ns)]
+    assert node_ids == [n.name for n in graph.nodes]
+    assert endpoints == [e.key for e in graph.edges]
 
 
 class TestRenderDispatch:

@@ -136,7 +136,7 @@ def test_parse_message_type_wire_names():
 
 
 def test_syscall_tuple_is_the_four_modeled_codes():
-    assert [m.wire for m in DNP3_SYSCALLS] == [
+    assert [m.value for m in DNP3_SYSCALLS] == [
         "request_link_status",
         "read",
         "response",
@@ -213,7 +213,7 @@ valid_row = st.builds(
     src=st.just("192.0.2.1"),
     dst=ipv4.filter(lambda a: a != "192.0.2.1"),
     proto=st.sampled_from(["dnp3", "modbus", "http", "DNP3"]),
-    fn=st.one_of(st.none(), st.sampled_from([m.wire for m in Dnp3MessageType])),
+    fn=st.one_of(st.none(), st.sampled_from([m.value for m in Dnp3MessageType])),
 )
 
 

@@ -123,7 +123,7 @@ class TestGenerate:
         blob = generate(profile(topo, n_messages=10_000), topo)
         kinds = Counter(json.loads(line)["dnp3_fn"] for line in blob.splitlines())
         for mt, expected in DEFAULT_MESSAGE_MIX.items():
-            assert kinds[mt.wire] / 10_000 == pytest.approx(expected, abs=0.02)
+            assert kinds[mt.value] / 10_000 == pytest.approx(expected, abs=0.02)
 
     def test_unknown_device_rejected(self, topo):
         with pytest.raises(ValidationError, match="unknown device 'ghost'"):
