@@ -4,129 +4,37 @@ Pipeline: parse JSON Lines captures -> filter to DNP3 -> map addresses to
 devices via a declared topology -> count communication frequencies ->
 normalize into a probability-weighted dependency graph -> query, rank,
 compare, and export.
+
+The package root holds the API the README documents; everything else is
+imported from its submodule (``cyberdep.graphio``, ``cyberdep.scenario``, ...).
 """
 
 from .depgraph import (
     BuildResult,
     ConditionalQuery,
     DependencyGraph,
-    DgEdge,
-    DgNode,
-    FlowCounts,
-    GraphOptions,
-    Normalization,
     build_graph,
     collapse_to_scada,
     count_flows,
     edge_probabilities,
-    format_probability,
-    noisy_or,
     query,
 )
-from .errors import CyberDepError, FormatError, QueryError, ValidationError
-from .graphio import (
-    graph_to_dot,
-    graph_to_graphml,
-    graph_to_json_bytes,
-    graph_to_json_dict,
-    load_graph_json,
-    render_graph,
-)
-from .ingest import (
-    CaptureWindow,
-    Dnp3MessageType,
-    IngestStats,
-    PacketRecord,
-    Protocol,
-    RejectedLine,
-    export_csv,
-    filter_dnp3,
-    parse_csv,
-    parse_packet_log,
-)
-from .scenario import (
-    ComparisonReport,
-    ScenarioKind,
-    ScenarioRun,
-    UniformityResult,
-    compare,
-    rank_edges,
-    uniformity_check,
-)
-from .synth import (
-    BUILTIN_PROFILES,
-    TrafficProfile,
-    builtin_profile,
-    generate,
-    load_profile,
-)
-from .topology import (
-    Device,
-    DeviceRole,
-    MappedMessage,
-    Topology,
-    UnmappedReport,
-    default_topology,
-    load_topology,
-    map_window,
-)
+from .ingest import filter_dnp3, parse_packet_log
+from .topology import default_topology, map_window
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BUILTIN_PROFILES",
     "BuildResult",
-    "CaptureWindow",
-    "ComparisonReport",
     "ConditionalQuery",
-    "CyberDepError",
     "DependencyGraph",
-    "Device",
-    "DeviceRole",
-    "DgEdge",
-    "DgNode",
-    "Dnp3MessageType",
-    "FlowCounts",
-    "FormatError",
-    "GraphOptions",
-    "IngestStats",
-    "MappedMessage",
-    "Normalization",
-    "PacketRecord",
-    "Protocol",
-    "QueryError",
-    "RejectedLine",
-    "ScenarioKind",
-    "ScenarioRun",
-    "Topology",
-    "TrafficProfile",
-    "UniformityResult",
-    "UnmappedReport",
-    "ValidationError",
     "build_graph",
-    "builtin_profile",
     "collapse_to_scada",
-    "compare",
     "count_flows",
     "default_topology",
     "edge_probabilities",
-    "export_csv",
     "filter_dnp3",
-    "format_probability",
-    "generate",
-    "graph_to_dot",
-    "graph_to_graphml",
-    "graph_to_json_bytes",
-    "graph_to_json_dict",
-    "load_graph_json",
-    "load_profile",
-    "load_topology",
     "map_window",
-    "noisy_or",
-    "parse_csv",
     "parse_packet_log",
     "query",
-    "rank_edges",
-    "render_graph",
-    "uniformity_check",
 ]

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import QueryError, ValidationError
 from .ingest import DNP3_SYSCALLS, CaptureWindow, Dnp3MessageType, filter_dnp3
-from .topology import DeviceRole, MappedMessage, Topology, UnmappedReport, map_window
+from .topology import DeviceRole, Topology, UnmappedReport, map_window
 
 PROBABILITY_SUM_TOL = 1e-9
 
@@ -62,12 +62,14 @@ class FlowCounts:
         return sum(self.entry_total(pair) for pair in self.entries)
 
 
-def count_flows(mapped: Iterable[MappedMessage], window_label: str = "") -> FlowCounts:
-    """Aggregate mapped messages by (src name, dst name) and message type."""
+def count_flows(
+    mapped: Iterable[tuple[str, str, Dnp3MessageType]], window_label: str = ""
+) -> FlowCounts:
+    """Aggregate map_window's (src name, dst name, message type) triples by pair and type."""
     entries: dict[tuple[str, str], dict[Dnp3MessageType, int]] = {}
-    for m in mapped:
-        by_type = entries.setdefault((m.src.name, m.dst.name), {})
-        by_type[m.message_type] = by_type.get(m.message_type, 0) + 1
+    for src, dst, message_type in mapped:
+        by_type = entries.setdefault((src, dst), {})
+        by_type[message_type] = by_type.get(message_type, 0) + 1
     return FlowCounts(entries, window_label)
 
 
@@ -120,7 +122,7 @@ class DgEdge:
     sink: str
     probability: float
     count: int = 0
-    by_type: dict = field(default_factory=dict)
+    by_type: dict = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
         if self.source == self.sink:

@@ -21,9 +21,11 @@ from typing import BinaryIO
 from .depgraph import DependencyGraph, DgEdge, DgNode, Normalization, format_probability
 from .errors import FormatError
 from .ingest import DNP3_SYSCALLS, parse_message_type
-from .topology import DeviceRole
+from .topology import NON_XML_CHARS, DeviceRole
 
 _BARE_DOT_ID = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+# DOT keywords are case-insensitive and must be quoted to be used as node ids.
+_DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +120,7 @@ def load_graph_json(stream: BinaryIO | bytes) -> DependencyGraph:
 
 
 def _dot_id(name: str) -> str:
-    if _BARE_DOT_ID.match(name):
+    if _BARE_DOT_ID.match(name) and name.lower() not in _DOT_KEYWORDS:
         return name
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
@@ -141,11 +143,6 @@ def graph_to_dot(graph: DependencyGraph) -> str:
 # ---------------------------------------------------------------------------
 
 _GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
-# Characters XML 1.0 forbids even as character references. A set, because
-# the equivalent regex takes milliseconds to compile at import.
-_NON_XML_CHARS = frozenset(
-    map(chr, [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), *range(0xD800, 0xE000)])
-) | {"\ufffe", "\uffff"}
 
 
 def graph_to_graphml(graph: DependencyGraph) -> bytes:
@@ -164,7 +161,8 @@ def graph_to_graphml(graph: DependencyGraph) -> bytes:
         )
     g = ET.SubElement(root, "graph", id="dependency_graph", edgedefault="directed")
     for n in graph.nodes:
-        if not _NON_XML_CHARS.isdisjoint(n.name):
+        # Graphs loaded from JSON never passed load_topology's name check.
+        if not NON_XML_CHARS.isdisjoint(n.name):
             raise FormatError(f"node {n.name!r} holds a character XML cannot represent")
         node_el = ET.SubElement(g, "node", id=n.name)
         ET.SubElement(node_el, "data", key="role").text = n.role.value

@@ -4,9 +4,11 @@ Input is newline-delimited JSON, one message per line:
 
     {"ts_us": <int>, "src": "<ipv4>", "dst": "<ipv4>", "proto": "<str>", "dnp3_fn": "<str|absent>"}
 
-``proto == "dnp3"`` marks DNP3 traffic; ``dnp3_fn`` selects one of the four
-modeled function codes (request_link_status, read, response, direct_operate).
-Any other ``dnp3_fn`` value, or its absence, yields ``Dnp3MessageType.OTHER``.
+``proto`` equal to ``"dnp3"`` in any case (``"DNP3"`` too) marks DNP3
+traffic; ``dnp3_fn`` selects one of the four modeled function codes
+(request_link_status, read, response, direct_operate) and must match exactly,
+in lower case. Any other ``dnp3_fn`` value, its absence, or a non-DNP3
+``proto`` yields ``Dnp3MessageType.OTHER``, which ``filter_dnp3`` drops.
 Unknown extra fields are ignored. Malformed lines are rejected and counted,
 never fatal; whitespace-only lines are skipped without counting.
 """
@@ -19,11 +21,6 @@ from enum import Enum
 from typing import BinaryIO
 
 from .errors import FormatError
-
-
-class Protocol(Enum):
-    DNP3 = "dnp3"
-    OTHER = "other"
 
 
 class Dnp3MessageType(Enum):
@@ -60,9 +57,7 @@ class PacketRecord:
     ts_us: int
     src_addr: str
     dst_addr: str
-    protocol: Protocol
     message_type: Dnp3MessageType
-    raw_index: int  # 1-based line number in the source stream
 
 
 @dataclass(frozen=True)
@@ -89,7 +84,7 @@ class CaptureWindow:
     rejections: tuple[RejectedLine, ...] = ()
 
 
-def _validate_record(obj: dict, line_no: int) -> PacketRecord:
+def _validate_record(obj: dict) -> PacketRecord:
     ts = obj.get("ts_us")
     if not isinstance(ts, int) or isinstance(ts, bool):
         raise ValueError("ts_us must be an integer")
@@ -117,21 +112,11 @@ def _validate_record(obj: dict, line_no: int) -> PacketRecord:
     if fn is not None and not isinstance(fn, str):
         raise ValueError("dnp3_fn must be a string when present")
 
-    if proto.lower() == "dnp3":
-        protocol = Protocol.DNP3
-        message_type = parse_message_type(fn) if fn is not None else Dnp3MessageType.OTHER
+    if proto.lower() == "dnp3" and fn is not None:
+        message_type = parse_message_type(fn)
     else:
-        protocol = Protocol.OTHER
         message_type = Dnp3MessageType.OTHER
-
-    return PacketRecord(
-        ts_us=ts,
-        src_addr=addrs["src"],
-        dst_addr=addrs["dst"],
-        protocol=protocol,
-        message_type=message_type,
-        raw_index=line_no,
-    )
+    return PacketRecord(ts, addrs["src"], addrs["dst"], message_type)
 
 
 def parse_packet_log(stream: BinaryIO | bytes, source_label: str = "") -> CaptureWindow:
@@ -139,8 +124,8 @@ def parse_packet_log(stream: BinaryIO | bytes, source_label: str = "") -> Captur
 
     Malformed lines never abort the stream: each is recorded in the
     rejection report with its 1-based line number. Records are ordered by
-    (ts_us, raw_index) so downstream output is deterministic even when the
-    input is not time-sorted.
+    ts_us, ties in input order, so downstream output is deterministic even
+    when the input is not time-sorted.
     """
     if isinstance(stream, bytes):
         stream = io.BytesIO(stream)
@@ -165,11 +150,11 @@ def parse_packet_log(stream: BinaryIO | bytes, source_label: str = "") -> Captur
             rejections.append(RejectedLine(line_no, "not a json object"))
             continue
         try:
-            records.append(_validate_record(obj, line_no))
+            records.append(_validate_record(obj))
         except ValueError as exc:
             rejections.append(RejectedLine(line_no, str(exc)))
 
-    records.sort(key=lambda r: (r.ts_us, r.raw_index))
+    records.sort(key=lambda r: r.ts_us)  # stable: ties keep line order
     stats = IngestStats(
         total=len(records) + len(rejections),
         parsed=len(records),
@@ -189,11 +174,7 @@ def filter_dnp3(window: CaptureWindow) -> CaptureWindow:
     Idempotent; record order is preserved and the dropped count is added to
     stats.filtered_out.
     """
-    keep = tuple(
-        r
-        for r in window.records
-        if r.protocol is Protocol.DNP3 and r.message_type in DNP3_SYSCALLS
-    )
+    keep = tuple(r for r in window.records if r.message_type in DNP3_SYSCALLS)
     dropped = len(window.records) - len(keep)
     stats = replace(window.stats, filtered_out=window.stats.filtered_out + dropped)
     return replace(window, records=keep, stats=stats)
@@ -213,9 +194,11 @@ def export_csv(window: CaptureWindow, out: BinaryIO) -> int:
 
 def parse_csv(stream: BinaryIO | bytes) -> list[tuple[int, str, str, Dnp3MessageType]]:
     """Read the CSV intermediate back into (ts_us, src, dst, message_type) tuples."""
-    if isinstance(stream, bytes):
-        stream = io.BytesIO(stream)
-    text = io.TextIOWrapper(stream, encoding="ascii", newline="")
+    data = stream if isinstance(stream, bytes) else stream.read()
+    try:
+        text = io.StringIO(data.decode("ascii"), newline="")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"CSV byte {exc.start} is not ASCII: {data[exc.start]:#04x}")
 
     header = text.readline().rstrip("\n")
     if header != CSV_HEADER:

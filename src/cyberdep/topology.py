@@ -22,6 +22,13 @@ from .ingest import CaptureWindow, Dnp3MessageType
 
 DEFAULT_TOPOLOGY_RESOURCE = "wscc9.topology.json"
 
+# Characters XML 1.0 forbids even as character references, so no device name
+# may hold one: GraphML export could not write it. A set, because the
+# equivalent regex takes milliseconds to compile at import.
+NON_XML_CHARS = frozenset(
+    map(chr, [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), *range(0xD800, 0xE000)])
+) | {"\ufffe", "\uffff"}
+
 
 class DeviceRole(Enum):
     SCADA_MASTER = "scada"
@@ -106,6 +113,8 @@ def load_topology(stream: BinaryIO | bytes, label: str | None = None) -> Topolog
         name = entry.get("name")
         if not isinstance(name, str) or not name:
             raise FormatError(f"devices[{i}] needs a non-empty 'name'")
+        if not NON_XML_CHARS.isdisjoint(name):
+            raise FormatError(f"device {name!r} holds a character XML cannot represent")
         try:
             role = DeviceRole(entry.get("role"))
         except ValueError:
@@ -136,13 +145,6 @@ def default_topology() -> Topology:
 
 
 @dataclass(frozen=True)
-class MappedMessage:
-    src: Device
-    dst: Device
-    message_type: Dnp3MessageType
-
-
-@dataclass(frozen=True)
 class UnmappedReport:
     """Records dropped because an endpoint address is not in the topology."""
 
@@ -152,14 +154,15 @@ class UnmappedReport:
 
 def map_window(
     topology: Topology, window: CaptureWindow
-) -> tuple[tuple[MappedMessage, ...], UnmappedReport]:
-    """Resolve both endpoints of every record to devices.
+) -> tuple[tuple[tuple[str, str, Dnp3MessageType], ...], UnmappedReport]:
+    """Resolve both endpoints of every record to device names.
 
+    Returns one (src name, dst name, message type) triple per mapped record.
     Records with any unresolvable endpoint are excluded and accounted in the
     report (each unknown address counted per occurrence). Output order equals
     window record order.
     """
-    mapped: list[MappedMessage] = []
+    mapped: list[tuple[str, str, Dnp3MessageType]] = []
     unknown: Counter = Counter()
     dropped = 0
     for r in window.records:
@@ -172,5 +175,5 @@ def map_window(
             if dst is None:
                 unknown[r.dst_addr] += 1
             continue
-        mapped.append(MappedMessage(src, dst, r.message_type))
+        mapped.append((src.name, dst.name, r.message_type))
     return tuple(mapped), UnmappedReport(records=dropped, by_addr=dict(unknown))

@@ -106,6 +106,17 @@ class TestBuild:
         assert rc == 1
         assert "topology" in capsys.readouterr().err
 
+    def test_topology_name_xml_cannot_hold_exits_1(self, capture_file, tmp_path, capsys):
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps(
+            {"devices": [{"name": "scada\x01", "role": "scada", "addrs": ["10.9.0.1"]}]}
+        ))
+        assert main(["build", "--in", str(capture_file), "--topo", str(topo)]) == 1
+        assert capsys.readouterr().err == (
+            "cyberdep build: error: device 'scada\\x01' holds a character XML "
+            "cannot represent\n"
+        )
+
     def test_verbose_lists_rejections_and_unmapped(self, topo_file, tmp_path, capsys):
         rows = jsonl_bytes([
             {"ts_us": 1, "src": "10.9.0.1", "dst": "10.9.1.1", "proto": "dnp3", "dnp3_fn": "read"},

@@ -29,7 +29,7 @@ from cyberdep.depgraph import (
 )
 from cyberdep.errors import QueryError, ValidationError
 from cyberdep.ingest import Dnp3MessageType, parse_packet_log
-from cyberdep.topology import DeviceRole, MappedMessage, map_window
+from cyberdep.topology import DeviceRole, map_window
 from conftest import equal_flow_rows, jsonl_bytes, make_topology
 
 READ = Dnp3MessageType.READ
@@ -141,11 +141,7 @@ def test_noisy_or_ignores_inactive_parents(case):
 
 
 def mm(src, dst, mt=READ):
-    topo = mm.topology
-    return MappedMessage(topo.device(src), topo.device(dst), mt)
-
-
-mm.topology = make_topology(3)
+    return (src, dst, mt)
 
 
 class TestCountFlows:
@@ -300,6 +296,14 @@ class TestGraphValidation:
         assert set(edge.by_type) == {
             Dnp3MessageType.REQUEST_LINK_STATUS, READ, RESPOND, DO,
         }
+
+    def test_equal_edges_hash_equal(self):
+        edge = DgEdge("a", "b", 0.5, count=2, by_type={READ: 2})
+        same = DgEdge("a", "b", 0.5, count=2, by_type={READ: 2})
+        other_type = DgEdge("a", "b", 0.5, count=2, by_type={RESPOND: 2})
+        assert hash(edge) == hash(same)
+        assert {edge, same} == {edge}
+        assert len({edge, other_type}) == 2
 
     def test_duplicate_node_rejected(self):
         with pytest.raises(ValidationError, match="duplicate node"):

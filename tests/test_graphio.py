@@ -153,6 +153,15 @@ class TestDot:
         dot = graph_to_dot(g)
         assert '"we\\"ird"' in dot
 
+    @pytest.mark.parametrize("name", ["node", "Graph", "EDGE"])
+    def test_keywords_quoted(self, name):
+        g = DependencyGraph(
+            (DgNode(name), DgNode("scada")), (DgEdge(name, "scada", 0.5),), Normalization.NONE
+        )
+        dot = graph_to_dot(g)
+        assert f'  "{name}" [shape=ellipse];' in dot
+        assert f'  "{name}" -> scada [label="0.50"];' in dot
+
 
 class TestGraphml:
     def test_well_formed_and_complete(self, traffic_graph):

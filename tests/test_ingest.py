@@ -11,7 +11,6 @@ from cyberdep.ingest import (
     DNP3_SYSCALLS,
     CaptureWindow,
     Dnp3MessageType,
-    Protocol,
     export_csv,
     filter_dnp3,
     parse_csv,
@@ -40,10 +39,9 @@ class TestParsePacketLog:
         assert window.stats.parsed == 3
         assert window.stats.rejected == 0
         assert [r.ts_us for r in window.records] == [1, 2, 3]
-        assert window.records[0].protocol is Protocol.DNP3
         assert window.records[0].message_type is Dnp3MessageType.READ
         assert window.records[1].message_type is Dnp3MessageType.RESPOND
-        assert window.records[2].protocol is Protocol.OTHER
+        assert window.records[2].message_type is Dnp3MessageType.OTHER
 
     def test_accepts_stream_and_bytes(self):
         data = jsonl_bytes([row(5)])
@@ -62,13 +60,13 @@ class TestParsePacketLog:
         assert "ts_us" in rej.reason
 
     def test_records_sorted_by_time_then_input_order(self):
-        rows = [row(30), row(10), row(20), row(10, fn="response")]
+        rows = [row(ts, src=f"10.0.9.{i}") for i, ts in enumerate((30, 10, 20, 10), start=1)]
         window = parse_packet_log(jsonl_bytes(rows))
-        assert [(r.ts_us, r.raw_index) for r in window.records] == [
-            (10, 2),
-            (10, 4),
-            (20, 3),
-            (30, 1),
+        assert [(r.ts_us, r.src_addr) for r in window.records] == [
+            (10, "10.0.9.2"),
+            (10, "10.0.9.4"),
+            (20, "10.0.9.3"),
+            (30, "10.0.9.1"),
         ]
 
     def test_blank_lines_skipped_without_counting(self):
@@ -152,10 +150,11 @@ class TestFilterDnp3:
             row(3, fn="cold_restart"),
             row(4, fn="direct_operate"),
             row(5, fn=None),
+            row(6, proto="modbus", fn="read"),
         ]
         window = filter_dnp3(parse_packet_log(jsonl_bytes(rows)))
         assert [r.ts_us for r in window.records] == [1, 4]
-        assert window.stats.filtered_out == 3
+        assert window.stats.filtered_out == 4
 
     def test_idempotent(self):
         rows = [row(1), row(2, proto="http", fn=None), row(3, fn="weird")]
@@ -168,6 +167,12 @@ class TestFilterDnp3:
                 for i in range(1, 20)]
         window = filter_dnp3(parse_packet_log(jsonl_bytes(rows)))
         assert window.stats.parsed == len(window.records) + window.stats.filtered_out
+
+    def test_proto_any_case_but_fn_exact(self):
+        rows = [row(1, proto="DNP3", fn="read"), row(2, proto="DNP3", fn="READ")]
+        window = filter_dnp3(parse_packet_log(jsonl_bytes(rows)))
+        assert [r.ts_us for r in window.records] == [1]
+        assert window.stats.filtered_out == 1
 
 
 class TestCsv:
@@ -200,6 +205,10 @@ class TestCsv:
     def test_rejects_bad_timestamp(self):
         with pytest.raises(FormatError, match="timestamp"):
             parse_csv(CSV_HEADER.encode() + b"\nxyz,10.0.0.1,10.0.0.2,read\n")
+
+    def test_rejects_non_ascii_bytes(self):
+        with pytest.raises(FormatError, match="byte 36 is not ASCII: 0xff"):
+            parse_csv(b"ts_us,src,dst,message_type\n1,10.0.0.\xff,10.0.0.2,read\n")
 
 
 # -- properties --------------------------------------------------------------
@@ -242,6 +251,9 @@ def test_parse_never_raises_on_arbitrary_lines(lines):
 def test_filter_is_idempotent_property(rows):
     window = filter_dnp3(parse_packet_log(jsonl_bytes(rows)))
     assert filter_dnp3(window) == window
+    modeled = {m.value for m in DNP3_SYSCALLS}
+    assert len(window.records) == sum(
+        1 for d in rows if d["proto"].lower() == "dnp3" and d.get("dnp3_fn") in modeled
+    )
     for r in window.records:
-        assert r.protocol is Protocol.DNP3
         assert r.message_type in DNP3_SYSCALLS

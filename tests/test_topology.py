@@ -62,6 +62,8 @@ class TestLoadTopology:
             (topo_doc([{"name": "x", "role": "overlord", "addrs": []}]), "role"),
             (topo_doc([{"name": "x", "role": "scada", "addrs": "10.0.0.1"}]), "addrs"),
             (topo_doc([{"name": "x", "role": "scada", "addrs": [], "substation": 3}]), "substation"),
+            (topo_doc([{"name": "a\x01", "role": "scada", "addrs": []}]), "'a\\\\x01' holds"),
+            (topo_doc([{"name": "a\ud800", "role": "scada", "addrs": []}]), "XML cannot"),
         ],
     )
     def test_malformed_documents(self, payload, match):
@@ -122,10 +124,10 @@ class TestMapWindow:
         ]
         mapped, report = map_window(topo, parse_packet_log(jsonl_bytes(rows)))
         assert report.records == 0
-        assert [(m.src.name, m.dst.name, m.message_type) for m in mapped] == [
+        assert mapped == (
             ("scada", "dev-01", Dnp3MessageType.READ),
             ("dev-01", "scada", Dnp3MessageType.RESPOND),
-        ]
+        )
 
     def test_unknown_addresses_counted_per_occurrence(self):
         topo = make_topology(1)
