@@ -182,14 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, topo=True):
-        p.add_argument("-v", "--verbose", action="store_true", help="verbose diagnostics")
-        if topo:
-            p.add_argument(
-                "--topo",
-                default=None,
-                help="topology JSON path (default: bundled wscc9 fixture)",
-            )
+    def common(p, verbose=True):
+        if verbose:
+            p.add_argument("-v", "--verbose", action="store_true", help="verbose diagnostics")
+        p.add_argument(
+            "--topo",
+            default=None,
+            help="topology JSON path (default: bundled wscc9 fixture)",
+        )
 
     p_build = sub.add_parser("build", help="build a dependency graph from a packet log")
     p_build.add_argument("--in", dest="input", required=True, help="JSON Lines capture path")
@@ -217,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("--in", dest="input", required=True, help="graph JSON path")
     p_export.add_argument("--format", choices=graphio.FORMATS, required=True)
     p_export.add_argument("--out", default=None, help="output path ('-' or absent: stdout)")
-    common(p_export, topo=False)
 
     p_query = sub.add_parser("query", help="noisy-OR conditional probability of a node")
     p_query.add_argument("--in", dest="input", required=True, help="graph JSON path")
@@ -225,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument(
         "--active", default="", help="comma-separated active parent node names"
     )
-    common(p_query, topo=False)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic capture")
     p_synth.add_argument(
@@ -242,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="fraction of extra non-DNP3 noise records",
     )
-    common(p_synth)
+    common(p_synth, verbose=False)
 
     p_compare = sub.add_parser("compare", help="compare graphs across scenario runs")
     p_compare.add_argument(

@@ -14,8 +14,8 @@ never fatal; whitespace-only lines are skipped without counting.
 """
 
 import io
-import ipaddress
 import json
+import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import BinaryIO
@@ -40,6 +40,12 @@ DNP3_SYSCALLS = (
 )
 
 CSV_HEADER = "ts_us,src,dst,message_type"
+
+_OCTET = "(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+#: A device address: four dot-separated ASCII decimal octets, each <= 255,
+#: without leading zeros; the strings the standard library's IPv4 address
+#: type accepts. Use with ``fullmatch``. Such a string needs no JSON escaping.
+IPV4_PATTERN = re.compile(rf"{_OCTET}(?:\.{_OCTET}){{3}}")
 
 
 def parse_message_type(value: str) -> Dnp3MessageType:
@@ -84,6 +90,16 @@ class CaptureWindow:
     rejections: tuple[RejectedLine, ...] = ()
 
 
+def _check_endpoints(src, dst) -> None:
+    for key, value in (("src", src), ("dst", dst)):
+        if not isinstance(value, str):
+            raise ValueError(f"{key} must be a string")
+        if not IPV4_PATTERN.fullmatch(value):
+            raise ValueError(f"{key} is not a valid IPv4 address: {value!r}")
+    if src == dst:
+        raise ValueError("src and dst must differ")
+
+
 def _validate_record(obj: dict) -> PacketRecord:
     ts = obj.get("ts_us")
     if not isinstance(ts, int) or isinstance(ts, bool):
@@ -91,18 +107,8 @@ def _validate_record(obj: dict) -> PacketRecord:
     if ts < 0:
         raise ValueError("ts_us must be >= 0")
 
-    addrs = {}
-    for key in ("src", "dst"):
-        value = obj.get(key)
-        if not isinstance(value, str):
-            raise ValueError(f"{key} must be a string")
-        try:
-            ipaddress.IPv4Address(value)
-        except ipaddress.AddressValueError:
-            raise ValueError(f"{key} is not a valid IPv4 address: {value!r}")
-        addrs[key] = value
-    if addrs["src"] == addrs["dst"]:
-        raise ValueError("src and dst must differ")
+    src, dst = obj.get("src"), obj.get("dst")
+    _check_endpoints(src, dst)
 
     proto = obj.get("proto")
     if not isinstance(proto, str):
@@ -116,7 +122,7 @@ def _validate_record(obj: dict) -> PacketRecord:
         message_type = parse_message_type(fn)
     else:
         message_type = Dnp3MessageType.OTHER
-    return PacketRecord(ts, addrs["src"], addrs["dst"], message_type)
+    return PacketRecord(ts, src, dst, message_type)
 
 
 def parse_packet_log(stream: BinaryIO | bytes, source_label: str = "") -> CaptureWindow:
@@ -193,7 +199,13 @@ def export_csv(window: CaptureWindow, out: BinaryIO) -> int:
 
 
 def parse_csv(stream: BinaryIO | bytes) -> list[tuple[int, str, str, Dnp3MessageType]]:
-    """Read the CSV intermediate back into (ts_us, src, dst, message_type) tuples."""
+    """Read the CSV intermediate back into (ts_us, src, dst, message_type) tuples.
+
+    Rows obey the packet-log rules: an ASCII-digit timestamp, two distinct
+    IPv4 addresses and a message type value (``other`` included, as
+    ``export_csv`` writes it for unfiltered windows). Any other row raises
+    ``FormatError`` naming its line.
+    """
     data = stream if isinstance(stream, bytes) else stream.read()
     try:
         text = io.StringIO(data.decode("ascii"), newline="")
@@ -212,9 +224,12 @@ def parse_csv(stream: BinaryIO | bytes) -> list[tuple[int, str, str, Dnp3Message
         fields = line.split(",")
         if len(fields) != 4:
             raise FormatError(f"line {line_no}: expected 4 fields, got {len(fields)}")
+        ts, src, dst, kind = fields
+        if not (ts.isascii() and ts.isdigit()):
+            raise FormatError(f"line {line_no}: bad timestamp {ts!r}")
         try:
-            ts = int(fields[0])
-        except ValueError:
-            raise FormatError(f"line {line_no}: bad timestamp {fields[0]!r}")
-        rows.append((ts, fields[1], fields[2], parse_message_type(fields[3])))
+            _check_endpoints(src, dst)
+            rows.append((int(ts), src, dst, Dnp3MessageType(kind)))
+        except ValueError as exc:  # int() also refuses over 4,300 digits
+            raise FormatError(f"line {line_no}: {exc}")
     return rows

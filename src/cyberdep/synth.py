@@ -16,9 +16,11 @@ non-DNP3 flood records from an external address, which the DNP3 filter is
 expected to drop.
 """
 
+import itertools
 import json
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import BinaryIO
 
@@ -40,12 +42,6 @@ DEFAULT_MESSAGE_MIX = {
     Dnp3MessageType.REQUEST_LINK_STATUS: 0.20,
     Dnp3MessageType.DIRECT_OPERATE: 0.10,
 }
-
-_MASTER_TO_DEVICE = (
-    Dnp3MessageType.REQUEST_LINK_STATUS,
-    Dnp3MessageType.READ,
-    Dnp3MessageType.DIRECT_OPERATE,
-)
 
 
 @dataclass(frozen=True)
@@ -79,24 +75,14 @@ class TrafficProfile:
             raise ValidationError("noise_fraction must be in [0, 1)")
 
 
-def _weighted_picker(pairs: list, rng: random.Random):
-    # cumulative-sum sampling keyed only to rng.random(), which is stable
-    # across Python versions for a fixed seed
-    total = math.fsum(w for _, w in pairs)
-    cumulative = []
-    acc = 0.0
-    for item, w in pairs:
-        acc += w
-        cumulative.append((acc, item))
-
-    def pick():
-        x = rng.random() * total
-        for bound, item in cumulative:
-            if x < bound:
-                return item
-        return cumulative[-1][1]
-
-    return pick
+def _picker(items: list, weights: list, rng: random.Random):
+    # One rng.random() per draw (stable across Python versions for a fixed
+    # seed), scaled by the fsum total. random.choices would scale by the last
+    # running sum instead, which can differ in the last bits and move draws.
+    bounds = list(itertools.accumulate(weights))
+    total = math.fsum(weights)
+    last = len(items) - 1
+    return lambda: items[min(bisect_right(bounds, rng.random() * total), last)]
 
 
 def generate(profile: TrafficProfile, topology: Topology) -> bytes:
@@ -105,8 +91,7 @@ def generate(profile: TrafficProfile, topology: Topology) -> bytes:
     Every weighted device must exist in the topology; the SCADA master is the
     peer of all generated DNP3 traffic and cannot itself carry a weight.
     """
-    scada = topology.scada_master
-    scada_addr = min(scada.addrs)
+    scada_addr = min(topology.scada_master.addrs)
 
     device_addr = {}
     for name in sorted(profile.weights):
@@ -120,65 +105,52 @@ def generate(profile: TrafficProfile, topology: Topology) -> bytes:
         device_addr[name] = min(dev.addrs)
 
     rng = random.Random(profile.seed)
-    pick_device = _weighted_picker(
-        [(name, profile.weights[name]) for name in sorted(profile.weights)], rng
+    pick_addr = _picker(
+        list(device_addr.values()), [profile.weights[n] for n in device_addr], rng
     )
-    pick_type = _weighted_picker(
-        [(mt, profile.message_mix.get(mt, 0.0)) for mt in DNP3_SYSCALLS], rng
+    pick_type = _picker(
+        DNP3_SYSCALLS, [profile.message_mix.get(mt, 0.0) for mt in DNP3_SYSCALLS], rng
     )
 
     n_noise = round(profile.n_messages * profile.noise_fraction)
     stride = profile.n_messages // n_noise if n_noise else 0
 
+    # Topology only holds dotted-quad addresses, so no field needs JSON
+    # escaping and these fixed templates are compact JSON.
     lines = []
-    tick = 0
-
-    def emit(obj) -> None:
-        nonlocal tick
-        tick += 1
-        lines.append(json.dumps({"ts_us": tick * 1000, **obj}, separators=(",", ":")))
-
-    noise_emitted = 0
     for i in range(profile.n_messages):
-        device = pick_device()
-        mt = pick_type()
-        addr = device_addr[device]
-        if mt in _MASTER_TO_DEVICE:
-            src, dst = scada_addr, addr
-        else:
-            src, dst = addr, scada_addr
-        emit({"src": src, "dst": dst, "proto": "dnp3", "dnp3_fn": mt.value})
-        if n_noise and noise_emitted < n_noise and (i + 1) % stride == 0:
-            target = device_addr[pick_device()]
-            emit({"src": NOISE_SOURCE_ADDR, "dst": target, "proto": "tcp"})
-            noise_emitted += 1
-
-    return ("\n".join(lines) + "\n").encode("ascii") if lines else b""
+        addr, mt = pick_addr(), pick_type()
+        src, dst = (addr, scada_addr) if mt is Dnp3MessageType.RESPOND else (scada_addr, addr)
+        lines.append(
+            f'{{"ts_us":{1000 * (len(lines) + 1)},"src":"{src}","dst":"{dst}",'
+            f'"proto":"dnp3","dnp3_fn":"{mt.value}"}}\n'
+        )
+        if stride and (i + 1) % stride == 0 and (i + 1) // stride <= n_noise:
+            lines.append(
+                f'{{"ts_us":{1000 * (len(lines) + 1)},"src":"{NOISE_SOURCE_ADDR}",'
+                f'"dst":"{pick_addr()}","proto":"tcp"}}\n'
+            )
+    return "".join(lines).encode("ascii")
 
 
 # ---------------------------------------------------------------------------
 # Built-in profiles
 # ---------------------------------------------------------------------------
 
-# Weight boosts relative to the 1.0 default carried by every field device.
-# These encode scenario rankings, deliberately not magnitudes.
-_PROFILE_BOOSTS: dict[str, dict[str, float]] = {
-    "baseline": {},
-    "dos_only": {"load-5": 5.0, "load-6": 5.0},
-    "no_mitigation": {"gen-1": 4.0, "load-5": 4.0},
-    "with_mitigation": {"load-5": 5.0, "load-6": 5.0, "gen-1": 3.0},
-    "dos_run3_variant": {"load-5": 0.2, "load-6": 0.2},
+# name -> (scenario, weight boosts relative to the 1.0 default carried by
+# every field device). The boosts encode scenario rankings, deliberately not
+# magnitudes.
+_PROFILES: dict[str, tuple[ScenarioKind, dict[str, float]]] = {
+    "baseline": (ScenarioKind.BASELINE, {}),
+    "dos_only": (ScenarioKind.DOS_ONLY, {"load-5": 5.0, "load-6": 5.0}),
+    "no_mitigation": (ScenarioKind.NO_MITIGATION, {"gen-1": 4.0, "load-5": 4.0}),
+    "with_mitigation": (
+        ScenarioKind.WITH_MITIGATION, {"load-5": 5.0, "load-6": 5.0, "gen-1": 3.0}
+    ),
+    "dos_run3_variant": (ScenarioKind.DOS_ONLY, {"load-5": 0.2, "load-6": 0.2}),
 }
 
-_PROFILE_SCENARIO: dict[str, ScenarioKind] = {
-    "baseline": ScenarioKind.BASELINE,
-    "dos_only": ScenarioKind.DOS_ONLY,
-    "no_mitigation": ScenarioKind.NO_MITIGATION,
-    "with_mitigation": ScenarioKind.WITH_MITIGATION,
-    "dos_run3_variant": ScenarioKind.DOS_ONLY,
-}
-
-BUILTIN_PROFILES = tuple(_PROFILE_BOOSTS)
+BUILTIN_PROFILES = tuple(_PROFILES)
 
 
 def builtin_profile(
@@ -189,7 +161,7 @@ def builtin_profile(
     noise_fraction: float = 0.0,
 ) -> TrafficProfile:
     """Instantiate a built-in profile over the topology's field devices."""
-    if name not in _PROFILE_BOOSTS:
+    if name not in _PROFILES:
         raise ValidationError(
             f"unknown profile {name!r}; built-ins: {', '.join(BUILTIN_PROFILES)}"
         )
@@ -198,14 +170,15 @@ def builtin_profile(
     }
     if not weights:
         raise ValidationError("topology has no field devices to weight")
-    for device, weight in _PROFILE_BOOSTS[name].items():
+    scenario, boosts = _PROFILES[name]
+    for device, weight in boosts.items():
         if device not in weights:
             raise ValidationError(
                 f"profile {name!r} expects field device {device!r} in the topology"
             )
         weights[device] = weight
     return TrafficProfile(
-        scenario=_PROFILE_SCENARIO[name],
+        scenario=scenario,
         weights=weights,
         n_messages=n_messages,
         seed=seed,

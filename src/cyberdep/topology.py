@@ -18,7 +18,7 @@ from enum import Enum
 from typing import BinaryIO
 
 from .errors import FormatError, ValidationError
-from .ingest import CaptureWindow, Dnp3MessageType
+from .ingest import IPV4_PATTERN, CaptureWindow, Dnp3MessageType
 
 DEFAULT_TOPOLOGY_RESOURCE = "wscc9.topology.json"
 
@@ -49,7 +49,8 @@ class Device:
 class Topology:
     """Validated device inventory; immutable and safe for concurrent reads.
 
-    Construction enforces: unique device names, address sets disjoint across
+    Construction enforces: unique device names, IPv4 addresses (as
+    ``ingest.IPV4_PATTERN`` defines them), address sets disjoint across
     devices, and exactly one SCADA master.
     """
 
@@ -68,6 +69,10 @@ class Topology:
         by_addr: dict[str, Device] = {}
         for dev in self.devices:
             for addr in dev.addrs:
+                if not isinstance(addr, str) or not IPV4_PATTERN.fullmatch(addr):
+                    raise ValidationError(
+                        f"device {dev.name!r} has an invalid IPv4 address: {addr!r}"
+                    )
                 if addr in by_addr:
                     raise ValidationError(
                         f"address {addr} claimed by both "

@@ -117,6 +117,17 @@ class TestBuild:
             "cannot represent\n"
         )
 
+    @pytest.mark.parametrize("addr", ["banana", "10.0.0.010", '1.2.3.4"'])
+    def test_topology_bad_address_exits_1(self, capture_file, tmp_path, capsys, addr):
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps(
+            {"devices": [{"name": "scada", "role": "scada", "addrs": [addr]}]}
+        ))
+        assert main(["build", "--in", str(capture_file), "--topo", str(topo)]) == 1
+        assert capsys.readouterr().err == (
+            f"cyberdep build: error: device 'scada' has an invalid IPv4 address: {addr!r}\n"
+        )
+
     def test_verbose_lists_rejections_and_unmapped(self, topo_file, tmp_path, capsys):
         rows = jsonl_bytes([
             {"ts_us": 1, "src": "10.9.0.1", "dst": "10.9.1.1", "proto": "dnp3", "dnp3_fn": "read"},
@@ -350,4 +361,14 @@ class TestUsageErrors:
     def test_missing_required_flag(self):
         with pytest.raises(SystemExit) as exc:
             main(["query", "--target", "F4"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", [
+        ["export", "--in", "g.json", "--format", "dot"],
+        ["query", "--in", "g.json", "--target", "F4"],
+        ["synth", "--profile", "baseline"],
+    ])
+    def test_verbose_only_where_read(self, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "-v"])
         assert exc.value.code == 2

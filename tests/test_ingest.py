@@ -1,14 +1,16 @@
 """Parsing, filtering, and CSV round-trip behavior of the ingest layer."""
 
 import io
+import ipaddress
 import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyberdep.errors import FormatError
 from cyberdep.ingest import (
     CSV_HEADER,
     DNP3_SYSCALLS,
+    IPV4_PATTERN,
     CaptureWindow,
     Dnp3MessageType,
     export_csv,
@@ -184,7 +186,7 @@ class TestCsv:
 
     def test_round_trip(self):
         rows = [row(i, fn=fn) for i, fn in enumerate(
-            ["read", "response", "direct_operate", "request_link_status"], start=1
+            ["read", "response", "direct_operate", "request_link_status", None], start=1
         )]
         window = parse_packet_log(jsonl_bytes(rows))
         buf = io.BytesIO()
@@ -206,6 +208,24 @@ class TestCsv:
         with pytest.raises(FormatError, match="timestamp"):
             parse_csv(CSV_HEADER.encode() + b"\nxyz,10.0.0.1,10.0.0.2,read\n")
 
+    @pytest.mark.parametrize(
+        "data_row,match",
+        [
+            (b"1,not-an-ip,10.0.0.2,bogus", "line 2: src is not a valid IPv4 address: 'not-an-ip'"),
+            (b"2,10.0.0.1,10.0.0.2,read\r", r"line 2: 'read\\r' is not a valid Dnp3MessageType"),
+            (b"1,10.0.0.1,10.0.0.2,bogus", "line 2: 'bogus' is not a valid Dnp3MessageType"),
+            (b"1,10.0.0.1,10.0.0.1,read", "line 2: src and dst must differ"),
+            (b"+5,10.0.0.1,10.0.0.2,read", r"line 2: bad timestamp '\+5'"),
+            (b"1_0,10.0.0.1,10.0.0.2,read", "line 2: bad timestamp '1_0'"),
+            (b"1" * 5000 + b",10.0.0.1,10.0.0.2,read", "line 2: "),
+        ],
+        ids=["bad-addr", "crlf-type", "unknown-type", "same-endpoints", "plus-ts", "underscore-ts",
+             "huge-ts"],
+    )
+    def test_rejects_rows_breaking_record_rules(self, data_row, match):
+        with pytest.raises(FormatError, match=match):
+            parse_csv(CSV_HEADER.encode() + b"\n" + data_row + b"\n")
+
     def test_rejects_non_ascii_bytes(self):
         with pytest.raises(FormatError, match="byte 36 is not ASCII: 0xff"):
             parse_csv(b"ts_us,src,dst,message_type\n1,10.0.0.\xff,10.0.0.2,read\n")
@@ -224,6 +244,44 @@ valid_row = st.builds(
     proto=st.sampled_from(["dnp3", "modbus", "http", "DNP3"]),
     fn=st.one_of(st.none(), st.sampled_from([m.value for m in Dnp3MessageType])),
 )
+
+
+def accepted_by_ipaddress(text: str) -> bool:
+    try:
+        ipaddress.IPv4Address(text)
+    except ValueError:
+        return False
+    return True
+
+
+# Address-like strings: octets in and out of range or with leading zeros,
+# and text mixing digits with whitespace, '/', '%', signs and non-ASCII digits.
+_ODD_CHARS = "0123456789. \t\n/%\u0663\uff11+-"
+octet_text = st.one_of(
+    st.integers(min_value=0, max_value=999).map(str),
+    st.integers(min_value=0, max_value=255).map(lambda n: f"0{n}"),
+    st.text(alphabet=_ODD_CHARS, max_size=4),
+)
+address_like = st.one_of(
+    st.lists(octet_text, min_size=3, max_size=5).map(".".join),
+    st.text(alphabet=_ODD_CHARS, max_size=20),
+)
+
+
+@given(address_like)
+@example("0.0.0.0")
+@example("255.255.255.255")
+@example("256.0.0.1")
+@example("10.0.0.010")
+@example("1.2.3.4\n")
+@example("1.2.3.4/32")
+@example("\u0661.2.3.4")
+@example("1.2.3")
+@example("1.2.3.4.5")
+@example("")
+@settings(max_examples=1000)
+def test_address_pattern_agrees_with_ipaddress(text):
+    assert bool(IPV4_PATTERN.fullmatch(text)) == accepted_by_ipaddress(text)
 
 
 @given(st.lists(valid_row, max_size=50))

@@ -1,5 +1,6 @@
 """Synthetic traffic generation: determinism, schema validity, share convergence."""
 
+import hashlib
 import json
 from collections import Counter
 from dataclasses import replace
@@ -146,6 +147,46 @@ class TestGenerate:
     def test_noise_determinism(self, topo):
         p = profile(topo, n_messages=500, noise_fraction=0.25, seed=9)
         assert generate(p, topo) == generate(p, topo)
+
+
+# sha256 of generate() output, taken before the picker and line writer were
+# rewritten: any change to the draws or the bytes shows here.
+PINNED_BUILTIN_SHA256 = {
+    ("baseline", 0.0): "5b3c4e63ef535979485ccf2ddfacad997ea350cac1fc3ac2a0647eb6223eb3e4",
+    ("baseline", 0.1): "7f3d10f107cbcb6f7794cb5a53ac159b1d0663993b2c6df08fe5a12a0a5a6997",
+    ("dos_only", 0.0): "8df0811cbe7d5366943a1cda565a85b9448ad662ae9b951dbfeed90f972240fa",
+    ("dos_only", 0.1): "8ed7687a3f347976fe60d55e92359e558f5d1915a43baa1c049ad719c5ffb297",
+    ("no_mitigation", 0.0): "8ae4d6049b7d40cfe2a55ec855105c5c97a7080ce73c4c53978930ec35fdca1a",
+    ("no_mitigation", 0.1): "7cba7610a7ca5cdce245581fb5a18cc0c363ee5c0fc43c427ff7048b19b83851",
+    ("with_mitigation", 0.0): "3b074681fccf6fd5b6e727695c3aae9d2a5d969428d318082909fc164ef7d035",
+    ("with_mitigation", 0.1): "5583179b9716f467d54683420e2ced582fd745c6f275f93165ffd2219ab57720",
+    ("dos_run3_variant", 0.0): "10bdac2049bf222e3f4047c9f6d2fa3ca88b544cc6141bf234b035c3a4dbd200",
+    ("dos_run3_variant", 0.1): "8c2fccf2139243bf7570ff5793097941f5f4cc3cc127ff234acef335798c6f56",
+}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("name,noise", sorted(PINNED_BUILTIN_SHA256))
+    def test_builtin_profile_bytes(self, wscc, name, noise):
+        p = builtin_profile(name, wscc, n_messages=2000, seed=1, noise_fraction=noise)
+        digest = hashlib.sha256(generate(p, wscc)).hexdigest()
+        assert digest == PINNED_BUILTIN_SHA256[name, noise]
+
+    def test_zero_weight_device_and_zero_mix_entry(self):
+        topo = make_topology(4)
+        p = TrafficProfile(
+            ScenarioKind.BASELINE,
+            {"dev-01": 1.0, "dev-02": 2.5, "dev-03": 0.5, "dev-04": 0.0},
+            message_mix={
+                Dnp3MessageType.REQUEST_LINK_STATUS: 0.25,
+                Dnp3MessageType.READ: 0.0,
+                Dnp3MessageType.RESPOND: 0.5,
+                Dnp3MessageType.DIRECT_OPERATE: 0.25,
+            },
+            n_messages=2000, seed=7, noise_fraction=0.1,
+        )
+        digest = hashlib.sha256(generate(p, topo)).hexdigest()
+        assert digest == "f5dc7afa7303c00a92e73d43698d723bb64b4f3eb029121761251cf9e0ec61d0"
 
 
 class TestBuiltinProfiles:

@@ -1,6 +1,7 @@
 """Topology loading, validation, and address-to-device mapping."""
 
 import json
+import re
 
 import pytest
 
@@ -22,6 +23,11 @@ def topo_doc(devices, label="t"):
 
 
 SCADA = {"name": "master", "role": "scada", "addrs": ["10.0.0.10"]}
+BAD_ADDRESSES = ["banana", "10.0.0.010", '1.2.3.4"']
+
+
+def bad_address_message(addr):
+    return re.escape(f"device 'g' has an invalid IPv4 address: {addr!r}")
 
 
 class TestLoadTopology:
@@ -70,6 +76,12 @@ class TestLoadTopology:
         with pytest.raises(FormatError, match=match):
             load_topology(payload)
 
+    @pytest.mark.parametrize("addr", BAD_ADDRESSES)
+    def test_invalid_address_rejected(self, addr):
+        doc = topo_doc([SCADA, {"name": "g", "role": "field", "addrs": ["10.0.0.11", addr]}])
+        with pytest.raises(ValidationError, match=bad_address_message(addr)):
+            load_topology(doc)
+
 
 class TestTopologyInvariants:
     def test_duplicate_names_rejected(self):
@@ -92,6 +104,15 @@ class TestTopologyInvariants:
         assert "10.0.0.2" in str(err.value)
         assert "alpha" in str(err.value)
         assert "beta" in str(err.value)
+
+    @pytest.mark.parametrize("addr", [*BAD_ADDRESSES, 10])
+    def test_invalid_address_rejected(self, addr):
+        devs = (
+            Device("master", DeviceRole.SCADA_MASTER, frozenset({"10.0.0.1"})),
+            Device("g", DeviceRole.FIELD_DEVICE, frozenset({addr})),
+        )
+        with pytest.raises(ValidationError, match=bad_address_message(addr)):
+            Topology(devs)
 
     def test_no_scada_master_rejected(self):
         devs = (Device("f", DeviceRole.FIELD_DEVICE, frozenset({"10.0.0.1"})),)
