@@ -29,8 +29,7 @@ def _load_topology(args) -> topology.Topology:
     path = Path(args.topo)
     if not path.is_file():
         raise FormatError(f"topology file not found: {path}")
-    with open(path, "rb") as fh:
-        return topology.load_topology(fh)
+    return topology.load_topology(path.read_bytes())
 
 
 def _read_input(path_str: str) -> bytes:
@@ -46,6 +45,16 @@ def _write_output(path_str: str | None, payload: bytes) -> None:
         sys.stdout.buffer.flush()
     else:
         Path(path_str).write_bytes(payload)
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not 0 <= value <= sys.float_info.max:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
 
 
 def _pick_format(args) -> str:
@@ -141,10 +150,7 @@ def cmd_synth(args) -> int:
 def cmd_compare(args) -> int:
     topo = _load_topology(args)
     manifest_path = Path(args.input)
-    try:
-        entries = json.loads(_read_input(args.input))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"manifest is not valid json: {exc.msg}")
+    entries = ingest.read_json(_read_input(args.input), "manifest")
     if not isinstance(entries, list) or not entries:
         raise ValidationError("manifest must be a non-empty json list")
 
@@ -257,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--no-scada-collapse", action="store_true")
     p_compare.add_argument(
         "--uniformity-tol",
-        type=float,
+        type=_tolerance,
         default=scenario.DEFAULT_UNIFORMITY_TOL,
         help="tolerance for the baseline uniformity flag",
     )

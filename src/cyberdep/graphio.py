@@ -20,17 +20,12 @@ from typing import BinaryIO
 
 from .depgraph import DependencyGraph, DgEdge, DgNode, Normalization, format_probability
 from .errors import FormatError
-from .ingest import DNP3_SYSCALLS, parse_message_type
+from .ingest import DNP3_SYSCALLS, is_number, parse_message_type, read_json
 from .topology import NON_XML_CHARS, DeviceRole
 
-_BARE_DOT_ID = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_BARE_DOT_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # DOT keywords are case-insensitive and must be quoted to be used as node ids.
 _DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
-
-
-# ---------------------------------------------------------------------------
-# JSON
-# ---------------------------------------------------------------------------
 
 
 def graph_to_json_dict(graph: DependencyGraph) -> dict:
@@ -57,11 +52,7 @@ def graph_to_json_bytes(graph: DependencyGraph) -> bytes:
 
 def load_graph_json(stream: BinaryIO | bytes) -> DependencyGraph:
     """Parse graph JSON back into a DependencyGraph, revalidating all invariants."""
-    data = stream if isinstance(stream, bytes) else stream.read()
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"graph file is not valid json: {exc.msg}")
+    doc = read_json(stream, "graph file")
     if not isinstance(doc, dict):
         raise FormatError("graph document must be a json object")
     if not isinstance(doc.get("nodes"), list) or not isinstance(doc.get("edges"), list):
@@ -85,7 +76,7 @@ def load_graph_json(stream: BinaryIO | bytes) -> DependencyGraph:
             if not isinstance(entry.get(key), str):
                 raise FormatError(f"edges[{i}] needs a string {key!r}")
         prob = entry.get("probability")
-        if not isinstance(prob, (int, float)) or isinstance(prob, bool):
+        if not is_number(prob):
             raise FormatError(f"edges[{i}] needs a numeric 'probability'")
         count = entry.get("count", 0)
         if not isinstance(count, int) or isinstance(count, bool):
@@ -114,13 +105,8 @@ def load_graph_json(stream: BinaryIO | bytes) -> DependencyGraph:
     return DependencyGraph(tuple(nodes), tuple(edges), normalization, grand_total)
 
 
-# ---------------------------------------------------------------------------
-# DOT
-# ---------------------------------------------------------------------------
-
-
 def _dot_id(name: str) -> str:
-    if _BARE_DOT_ID.match(name) and name.lower() not in _DOT_KEYWORDS:
+    if _BARE_DOT_ID.fullmatch(name) and name.lower() not in _DOT_KEYWORDS:
         return name
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
@@ -137,10 +123,6 @@ def graph_to_dot(graph: DependencyGraph) -> str:
     lines.append("}")
     return "\n".join(lines) + "\n"
 
-
-# ---------------------------------------------------------------------------
-# GraphML
-# ---------------------------------------------------------------------------
 
 _GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
 
@@ -174,10 +156,6 @@ def graph_to_graphml(graph: DependencyGraph) -> bytes:
     ET.indent(root, space="  ")
     return ET.tostring(root, encoding="UTF-8", xml_declaration=True) + b"\n"
 
-
-# ---------------------------------------------------------------------------
-# Dispatch
-# ---------------------------------------------------------------------------
 
 FORMATS = ("json", "dot", "graphml")
 

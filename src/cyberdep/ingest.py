@@ -11,11 +11,16 @@ in lower case. Any other ``dnp3_fn`` value, its absence, or a non-DNP3
 ``proto`` yields ``Dnp3MessageType.OTHER``, which ``filter_dnp3`` drops.
 Unknown extra fields are ignored. Malformed lines are rejected and counted,
 never fatal; whitespace-only lines are skipped without counting.
+
+All five JSON inputs (capture lines here, the other documents via ``read_json``)
+must be RFC 8259 JSON: ``NaN``/``Infinity``, integers over 4,300 digits,
+non-UTF text and over-deep nesting are rejected with a reason.
 """
 
 import io
 import json
 import re
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import BinaryIO
@@ -46,6 +51,40 @@ _OCTET = "(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
 #: without leading zeros; the strings the standard library's IPv4 address
 #: type accepts. Use with ``fullmatch``. Such a string needs no JSON escaping.
 IPV4_PATTERN = re.compile(rf"{_OCTET}(?:\.{_OCTET}){{3}}")
+
+
+def _reject_constant(token: str):
+    raise json.JSONDecodeError(f"{token} is not a JSON number", token, 0)
+
+
+# Built once: a decoder made per call costs over a microsecond per capture line.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _json_failure(exc: ValueError | RecursionError) -> str:
+    if isinstance(exc, RecursionError):
+        return "nested too deeply"
+    if isinstance(exc, UnicodeDecodeError):
+        return f"invalid {exc.encoding}"
+    if isinstance(exc, json.JSONDecodeError):
+        return exc.msg
+    return f"integer over {sys.get_int_max_str_digits():,} digits"  # int() refused it
+
+
+def read_json(data: BinaryIO | bytes, what: str):
+    """Decode an RFC 8259 document (UTF-8/16/32, as ``json.loads`` detects) or raise FormatError."""
+    data = data if isinstance(data, bytes) else data.read()
+    try:
+        return _DECODER.decode(data.decode(json.detect_encoding(data), "surrogatepass"))
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{what} is not valid json: {_json_failure(exc)}")
+
+
+def is_number(value) -> bool:
+    """True for a decoded JSON number a float can hold (no bool, no integer past 1.8e308)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, float)
 
 
 def parse_message_type(value: str) -> Dnp3MessageType:
@@ -148,9 +187,11 @@ def parse_packet_log(stream: BinaryIO | bytes, source_label: str = "") -> Captur
             rejections.append(RejectedLine(line_no, "invalid utf-8"))
             continue
         try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            rejections.append(RejectedLine(line_no, f"invalid json: {exc.msg}"))
+            if text.startswith("\ufeff"):  # as json.loads(str) refuses it
+                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", "", 0)
+            obj = _DECODER.decode(text)
+        except (ValueError, RecursionError) as exc:
+            rejections.append(RejectedLine(line_no, f"invalid json: {_json_failure(exc)}"))
             continue
         if not isinstance(obj, dict):
             rejections.append(RejectedLine(line_no, "not a json object"))

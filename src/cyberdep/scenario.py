@@ -7,7 +7,7 @@ first baseline run when one exists), and evaluates the signature patterns
 the four disturbance scenarios are expected to show.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple
 
@@ -133,12 +133,7 @@ class ComparisonReport:
                 }
                 for rd in self.deltas
             ],
-            "flags": {
-                "baseline_uniform": self.flags.baseline_uniform,
-                "dos_top2": self.flags.dos_top2,
-                "no_mitigation_top2": self.flags.no_mitigation_top2,
-                "mitigation_pattern": self.flags.mitigation_pattern,
-            },
+            "flags": asdict(self.flags),
         }
 
     def to_text(self) -> str:
@@ -157,10 +152,9 @@ class ComparisonReport:
                 lines.append(f"  {rd.scenario.value} run {rd.run_id}")
                 for (src, sink), delta in sorted(rd.deltas.items()):
                     lines.append(f"    {src} -> {sink}  {delta:+.4f}")
-        flags = self.to_json_dict()["flags"]
         rendered = ", ".join(
             f"{name}={'n/a' if value is None else str(value).lower()}"
-            for name, value in flags.items()
+            for name, value in asdict(self.flags).items()
         )
         lines.append(f"flags: {rendered}")
         return "\n".join(lines) + "\n"

@@ -17,7 +17,6 @@ expected to drop.
 """
 
 import itertools
-import json
 import math
 import random
 from bisect import bisect_right
@@ -25,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import BinaryIO
 
 from .errors import FormatError, ValidationError
-from .ingest import DNP3_SYSCALLS, Dnp3MessageType, parse_message_type
+from .ingest import DNP3_SYSCALLS, Dnp3MessageType, is_number, parse_message_type, read_json
 from .scenario import ScenarioKind
 from .topology import DeviceRole, Topology
 
@@ -59,14 +58,20 @@ class TrafficProfile:
         if not self.weights:
             raise ValidationError("profile needs at least one weighted device")
         for name, w in self.weights.items():
-            if w < 0:
-                raise ValidationError(f"negative weight for {name!r}")
+            if not 0 <= w < math.inf:
+                kind = "negative" if w < 0 else "non-finite"
+                raise ValidationError(f"{kind} weight for {name!r}")
         if not any(w > 0 for w in self.weights.values()):
             raise ValidationError("profile weights must not all be zero")
+        try:
+            math.fsum(self.weights.values())  # generate() scales draws by it
+        except OverflowError:
+            raise ValidationError("profile weights sum past the largest float")
         if set(self.message_mix) - set(DNP3_SYSCALLS):
             raise ValidationError("message mix may only contain the four DNP3 syscalls")
-        if any(v < 0 for v in self.message_mix.values()):
-            raise ValidationError("message mix values must be nonnegative")
+        for mt, v in self.message_mix.items():
+            if not 0 <= v < math.inf:
+                raise ValidationError(f"mix value for {mt.value!r} must be finite and >= 0")
         if abs(sum(self.message_mix.values()) - 1.0) > MIX_SUM_TOL:
             raise ValidationError("message mix must sum to 1")
         if self.n_messages < 0:
@@ -133,10 +138,6 @@ def generate(profile: TrafficProfile, topology: Topology) -> bytes:
     return "".join(lines).encode("ascii")
 
 
-# ---------------------------------------------------------------------------
-# Built-in profiles
-# ---------------------------------------------------------------------------
-
 # name -> (scenario, weight boosts relative to the 1.0 default carried by
 # every field device). The boosts encode scenario rankings, deliberately not
 # magnitudes.
@@ -188,11 +189,7 @@ def builtin_profile(
 
 def load_profile(stream: BinaryIO | bytes) -> TrafficProfile:
     """Parse a profile JSON document mirroring TrafficProfile."""
-    data = stream if isinstance(stream, bytes) else stream.read()
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"profile is not valid json: {exc.msg}")
+    doc = read_json(stream, "profile")
     if not isinstance(doc, dict):
         raise FormatError("profile document must be a json object")
     try:
@@ -201,10 +198,7 @@ def load_profile(stream: BinaryIO | bytes) -> TrafficProfile:
         raise FormatError(f"unknown scenario {doc.get('scenario')!r}")
 
     weights = doc.get("weights")
-    if not isinstance(weights, dict) or not all(
-        isinstance(k, str) and isinstance(v, (int, float)) and not isinstance(v, bool)
-        for k, v in weights.items()
-    ):
+    if not isinstance(weights, dict) or not all(map(is_number, weights.values())):
         raise FormatError("'weights' must map device names to numbers")
 
     kwargs = {}
@@ -217,7 +211,7 @@ def load_profile(stream: BinaryIO | bytes) -> TrafficProfile:
             mt = parse_message_type(key)
             if mt not in DNP3_SYSCALLS:
                 raise FormatError(f"unknown message type in mix: {key!r}")
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            if not is_number(value):
                 raise FormatError(f"mix value for {key!r} must be a number")
             mix[mt] = float(value)
         kwargs["message_mix"] = mix
@@ -228,7 +222,7 @@ def load_profile(stream: BinaryIO | bytes) -> TrafficProfile:
             kwargs[key] = doc[key]
     if "noise_fraction" in doc:
         nf = doc["noise_fraction"]
-        if not isinstance(nf, (int, float)) or isinstance(nf, bool):
+        if not is_number(nf):
             raise FormatError("'noise_fraction' must be a number")
         kwargs["noise_fraction"] = float(nf)
 

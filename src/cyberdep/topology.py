@@ -11,14 +11,13 @@ loads, and four routers.
 """
 
 import importlib.resources
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import BinaryIO
 
 from .errors import FormatError, ValidationError
-from .ingest import IPV4_PATTERN, CaptureWindow, Dnp3MessageType
+from .ingest import IPV4_PATTERN, CaptureWindow, Dnp3MessageType, read_json
 
 DEFAULT_TOPOLOGY_RESOURCE = "wscc9.topology.json"
 
@@ -101,13 +100,9 @@ class Topology:
         return {d.name: d.role for d in self.devices}
 
 
-def load_topology(stream: BinaryIO | bytes, label: str | None = None) -> Topology:
+def load_topology(stream: BinaryIO | bytes) -> Topology:
     """Parse and validate a topology document."""
-    data = stream if isinstance(stream, bytes) else stream.read()
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"topology is not valid json: {exc.msg}")
+    doc = read_json(stream, "topology")
     if not isinstance(doc, dict) or not isinstance(doc.get("devices"), list):
         raise FormatError("topology document must be an object with a 'devices' list")
 
@@ -132,21 +127,13 @@ def load_topology(stream: BinaryIO | bytes, label: str | None = None) -> Topolog
             raise FormatError(f"device {name!r}: 'substation' must be a string")
         devices.append(Device(name, role, frozenset(addrs), substation))
 
-    doc_label = doc.get("label", "")
-    return Topology(tuple(devices), label if label is not None else doc_label)
-
-
-def default_topology_bytes() -> bytes:
-    return (
-        importlib.resources.files("cyberdep")
-        .joinpath("data", DEFAULT_TOPOLOGY_RESOURCE)
-        .read_bytes()
-    )
+    return Topology(tuple(devices), doc.get("label", ""))
 
 
 def default_topology() -> Topology:
     """The bundled 9-bus fixture topology."""
-    return load_topology(default_topology_bytes())
+    resource = importlib.resources.files("cyberdep").joinpath("data", DEFAULT_TOPOLOGY_RESOURCE)
+    return load_topology(resource.read_bytes())
 
 
 @dataclass(frozen=True)

@@ -309,6 +309,18 @@ class TestCompare:
         doc = json.loads(capsys.readouterr().out)
         assert doc["flags"]["baseline_uniform"] is False  # sampled, never exact
 
+    @pytest.mark.parametrize("tol, message", [
+        ("nan", "must be finite and >= 0, got 'nan'"),
+        ("inf", "must be finite and >= 0, got 'inf'"),
+        ("-0.01", "must be finite and >= 0, got '-0.01'"),
+        ("tight", "invalid float value: 'tight'"),
+    ])
+    def test_uniformity_tol_rejects_bad_values(self, tmp_path, capsys, tol, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--in", str(tmp_path / "m.json"), "--uniformity-tol", tol])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"argument --uniformity-tol: {message}\n")
+
     def test_empty_manifest_exits_1(self, tmp_path, capsys):
         path = tmp_path / "manifest.json"
         path.write_text("[]")

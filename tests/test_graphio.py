@@ -153,6 +153,10 @@ class TestDot:
         dot = graph_to_dot(g)
         assert '"we\\"ird"' in dot
 
+    def test_trailing_newline_quoted(self):
+        g = DependencyGraph((DgNode("a\n"), DgNode("b")), (DgEdge("a\n", "b", 0.5),))
+        assert '  "a\n" -> b [label="0.50"];' in graph_to_dot(g)
+
     @pytest.mark.parametrize("name", ["node", "Graph", "EDGE"])
     def test_keywords_quoted(self, name):
         g = DependencyGraph(
@@ -226,6 +230,44 @@ def test_graphml_round_trips_names_or_rejects_them(names):
     assert node_ids == [n.name for n in graph.nodes]
     assert endpoints == [e.key for e in graph.edges]
 
+
+DOT_ID = r'[A-Za-z_][A-Za-z0-9_]*|"(?:[^"\\]|\\.)*"'
+DOT_STATEMENT = re.compile(
+    rf'  ({DOT_ID})(?: -> ({DOT_ID}))? \[(?:shape=\w+|label="[0-9.]+")\];\n', re.S
+)
+
+
+def dot_name(token):
+    if token.startswith('"'):
+        return re.sub(r"\\(.)", r"\1", token[1:-1], flags=re.S)
+    assert token.lower() not in {"node", "edge", "graph", "digraph", "subgraph", "strict"}
+    return token
+
+
+@given(st.lists(st.text(name_chars, max_size=6), min_size=2, max_size=5, unique=True), st.data())
+@settings(max_examples=300)
+def test_dot_round_trips_names(names, data):
+    pair = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    pairs = data.draw(st.sets(pair.filter(lambda p: p[0] != p[1]), max_size=6))
+    graph = DependencyGraph(
+        tuple(DgNode(n) for n in names),
+        tuple(DgEdge(src, sink, 0.5) for src, sink in pairs),
+        Normalization.NONE,
+    )
+    header = "digraph dependency_graph {\n"
+    text = graph_to_dot(graph)
+    assert text.startswith(header) and text.endswith("}\n")
+    body, pos, nodes, edges = text[len(header):-2], 0, set(), set()
+    while pos < len(body):
+        m = DOT_STATEMENT.match(body, pos)
+        assert m, body[pos:]
+        if m[2] is None:
+            nodes.add(dot_name(m[1]))
+        else:
+            edges.add((dot_name(m[1]), dot_name(m[2])))
+        pos = m.end()
+    assert nodes == set(names)
+    assert edges == pairs
 
 class TestRenderDispatch:
     def test_formats_tuple(self):

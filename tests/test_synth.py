@@ -42,6 +42,26 @@ class TestProfileValidation:
         with pytest.raises(ValidationError, match="negative weight"):
             TrafficProfile(ScenarioKind.BASELINE, {"dev-01": -1.0})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weight(self, bad):
+        with pytest.raises(ValidationError, match="non-finite weight for 'dev-02'"):
+            TrafficProfile(ScenarioKind.BASELINE, {"dev-01": 1.0, "dev-02": bad})
+
+    def test_weight_sum_overflow(self):
+        with pytest.raises(ValidationError, match="sum past the largest float"):
+            TrafficProfile(ScenarioKind.BASELINE, {"dev-01": 1e308, "dev-02": 1e308})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+    def test_non_finite_or_negative_mix_value(self, bad):
+        mix = {Dnp3MessageType.READ: 1.0, Dnp3MessageType.RESPOND: bad}
+        with pytest.raises(ValidationError, match="mix value for 'response' must be finite"):
+            TrafficProfile(ScenarioKind.BASELINE, {"dev-01": 1.0}, message_mix=mix)
+
+    def test_overflowing_document_weight(self):
+        doc = b'{"scenario": "baseline", "weights": {"gen-1": 1e999, "gen-2": 1}}'
+        with pytest.raises(ValidationError, match="non-finite weight for 'gen-1'"):
+            load_profile(doc)
+
     def test_all_zero_weights(self):
         with pytest.raises(ValidationError, match="all be zero"):
             TrafficProfile(ScenarioKind.BASELINE, {"dev-01": 0.0})

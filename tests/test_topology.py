@@ -47,10 +47,6 @@ class TestLoadTopology:
         assert topo.resolve("10.0.0.10").name == "master"
         assert topo.resolve("10.0.0.99") is None
 
-    def test_label_override(self):
-        topo = load_topology(topo_doc([SCADA], label="from-doc"), label="explicit")
-        assert topo.label == "explicit"
-
     def test_substation_optional(self):
         doc = topo_doc([SCADA, {"name": "g", "role": "field", "addrs": ["10.0.0.11"],
                                 "substation": "sub-a"}])
