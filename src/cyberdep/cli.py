@@ -15,8 +15,6 @@ from . import depgraph, graphio, ingest, scenario, synth, topology
 from .errors import CyberDepError, FormatError, ValidationError
 
 _FORMAT_SUFFIXES = {".json": "json", ".dot": "dot", ".gv": "dot", ".graphml": "graphml"}
-#: Rejected lines listed by ``-v``; the rest are only counted.
-_SHOWN_REJECTIONS = 20
 
 
 def _diag(message: str) -> None:
@@ -52,7 +50,7 @@ def _tolerance(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if not 0 <= value <= sys.float_info.max:
+    if not scenario.is_tolerance(value):
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
     return value
 
@@ -68,14 +66,16 @@ def _pick_format(args) -> str:
 
 
 def _build_from_capture(args, capture_path: str, topo: topology.Topology):
-    window = ingest.parse_packet_log(_read_input(capture_path), source_label=capture_path)
     options = depgraph.GraphOptions(
         scada_collapse=not args.no_scada_collapse,
         normalization=depgraph.Normalization(args.normalization),
     )
-    result = depgraph.build_graph(window, topo, options)
+    path = Path(capture_path)
+    if not path.is_file():
+        raise FormatError(f"input file not found: {path}")
+    with path.open("rb") as lines:
+        result, stats, rejections = depgraph.build_graph_from_lines(lines, topo, options)
 
-    stats = window.stats
     retained = stats.parsed - result.filtered_out
     _diag(
         f"{capture_path}: parsed {stats.parsed}/{stats.total} lines "
@@ -87,9 +87,9 @@ def _build_from_capture(args, capture_path: str, topo: topology.Topology):
         f"({result.unmapped.records} unmapped); non-scada flow dropped: {result.scada_dropped}"
     )
     if args.verbose:
-        for reject in window.rejections[:_SHOWN_REJECTIONS]:
+        for reject in rejections:
             _diag(f"  rejected line {reject.line_no}: {reject.reason}")
-        hidden = len(window.rejections) - _SHOWN_REJECTIONS
+        hidden = stats.rejected - len(rejections)
         if hidden > 0:
             _diag(f"  ... {hidden} more rejected lines not shown")
         for addr, n in sorted(result.unmapped.by_addr.items()):

@@ -19,16 +19,19 @@ were supplied directly and no sum constraint is enforced.
 """
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import QueryError, ValidationError
-from .ingest import DNP3_SYSCALLS, CaptureWindow, Dnp3MessageType, filter_dnp3
-from .topology import DeviceRole, Topology, UnmappedReport, map_window
+from .ingest import DNP3_SYSCALLS, CaptureWindow, Dnp3MessageType, IngestStats, RejectedLine
+from .ingest import scan_packet_log
+from .topology import DeviceRole, Topology, UnmappedReport
 
 PROBABILITY_SUM_TOL = 1e-9
+#: Rejected lines a streamed build keeps, as ``build -v`` lists; the rest are only counted.
+_SHOWN_REJECTIONS = 20
 
 
 class Normalization(Enum):
@@ -371,20 +374,73 @@ class BuildResult(NamedTuple):
     scada_dropped: int
 
 
+def _build_from_counts(
+    counts: Mapping[tuple[str, str, Dnp3MessageType], int], topology: Topology,
+    options: GraphOptions, filtered_out: int = 0,
+) -> BuildResult:
+    """The one downstream half of a build: filter, map, count, collapse, normalize.
+
+    ``counts`` holds n records per (src_addr, dst_addr, message type) key, so
+    each key is filtered and resolved once. A key with an unknown endpoint
+    adds n to the unmapped records and n per unknown endpoint to ``by_addr``.
+    """
+    entries: dict[tuple[str, str], dict[Dnp3MessageType, int]] = {}
+    unknown: Counter = Counter()
+    unmapped = 0
+    for (src_addr, dst_addr, message_type), n in counts.items():
+        if message_type not in DNP3_SYSCALLS:
+            filtered_out += n
+            continue
+        src, dst = topology.resolve(src_addr), topology.resolve(dst_addr)
+        if src is None or dst is None:
+            unmapped += n
+            for addr, device in ((src_addr, src), (dst_addr, dst)):
+                if device is None:
+                    unknown[addr] += n
+            continue
+        by_type = entries.setdefault((src.name, dst.name), {})
+        by_type[message_type] = by_type.get(message_type, 0) + n
+
+    flows, scada_dropped = FlowCounts(entries), 0
+    if options.scada_collapse:
+        flows, scada_dropped = collapse_to_scada(flows, topology)
+    graph = edge_probabilities(flows, options.normalization, topology.roles())
+    return BuildResult(graph, filtered_out, UnmappedReport(unmapped, dict(unknown)), scada_dropped)
+
+
 def build_graph(
     window: CaptureWindow,
     topology: Topology,
     options: GraphOptions = GraphOptions(),
 ) -> BuildResult:
-    """Run the full pipeline: filter, map, count, optionally collapse, normalize.
+    """Run the full pipeline on a parsed window: filter, map, count, collapse, normalize.
 
     Deterministic: identical inputs produce identical graphs.
     """
-    filtered = filter_dnp3(window)
-    mapped, unmapped = map_window(topology, filtered)
-    counts = count_flows(mapped, window.source_label)
-    scada_dropped = 0
-    if options.scada_collapse:
-        counts, scada_dropped = collapse_to_scada(counts, topology)
-    graph = edge_probabilities(counts, options.normalization, topology.roles())
-    return BuildResult(graph, filtered.stats.filtered_out, unmapped, scada_dropped)
+    counts = Counter((r.src_addr, r.dst_addr, r.message_type) for r in window.records)
+    return _build_from_counts(counts, topology, options, window.stats.filtered_out)
+
+
+def build_graph_from_lines(
+    lines: Iterable[bytes], topology: Topology, options: GraphOptions = GraphOptions()
+) -> tuple[BuildResult, IngestStats, tuple[RejectedLine, ...]]:
+    """``build_graph(parse_packet_log(lines))``, that window's stats and first rejections.
+
+    Counts the lines (a binary file iterates as lines) without making record
+    objects, so memory does not grow with their number. Rejected lines past
+    the first ``_SHOWN_REJECTIONS`` are only counted.
+    """
+    counts: dict[tuple[str, str, Dnp3MessageType], int] = {}
+    rejections: list[RejectedLine] = []
+    rejected = 0
+    for line_no, item in scan_packet_log(lines):
+        if isinstance(item, str):
+            rejected += 1
+            if rejected <= _SHOWN_REJECTIONS:
+                rejections.append(RejectedLine(line_no, item))
+        else:
+            key = item[1:]  # a plain dict counts faster than a Counter
+            counts[key] = counts.get(key, 0) + 1
+    parsed = sum(counts.values())
+    stats = IngestStats(total=parsed + rejected, parsed=parsed, rejected=rejected)
+    return _build_from_counts(counts, topology, options), stats, tuple(rejections)

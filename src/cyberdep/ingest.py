@@ -23,7 +23,7 @@ import re
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import BinaryIO
+from typing import BinaryIO, Iterable, Iterator
 
 from .errors import FormatError
 
@@ -87,12 +87,12 @@ def is_number(value) -> bool:
     return isinstance(value, float)
 
 
+_MESSAGE_TYPES = {mt.value: mt for mt in Dnp3MessageType}
+
+
 def parse_message_type(value: str) -> Dnp3MessageType:
     """Map a wire string to a message type; anything unknown is OTHER."""
-    try:
-        return Dnp3MessageType(value)
-    except ValueError:
-        return Dnp3MessageType.OTHER
+    return _MESSAGE_TYPES.get(value, Dnp3MessageType.OTHER)
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def _check_endpoints(src, dst) -> None:
         raise ValueError("src and dst must differ")
 
 
-def _validate_record(obj: dict) -> PacketRecord:
+def _validate_record(obj: dict, valid: set[str]) -> tuple[int, str, str, Dnp3MessageType]:
     ts = obj.get("ts_us")
     if not isinstance(ts, int) or isinstance(ts, bool):
         raise ValueError("ts_us must be an integer")
@@ -147,7 +147,10 @@ def _validate_record(obj: dict) -> PacketRecord:
         raise ValueError("ts_us must be >= 0")
 
     src, dst = obj.get("src"), obj.get("dst")
-    _check_endpoints(src, dst)
+    if not (isinstance(src, str) and isinstance(dst, str) and src in valid and dst in valid
+            and src != dst):  # valid: this scan's checked addresses; a list would not hash
+        _check_endpoints(src, dst)
+        valid.update((src, dst))
 
     proto = obj.get("proto")
     if not isinstance(proto, str):
@@ -161,7 +164,39 @@ def _validate_record(obj: dict) -> PacketRecord:
         message_type = parse_message_type(fn)
     else:
         message_type = Dnp3MessageType.OTHER
-    return PacketRecord(ts, src, dst, message_type)
+    return ts, src, dst, message_type
+
+
+def scan_packet_log(lines: Iterable[bytes]) -> Iterator[tuple[int, tuple | str]]:
+    """Validate JSON Lines one at a time, keeping only a memo of valid addresses.
+
+    Yields ``(line_no, (ts_us, src, dst, message_type))`` per valid line and
+    ``(line_no, reason)`` per rejected one; whitespace-only lines yield nothing.
+    """
+    valid: set[str] = set()
+    for line_no, raw in enumerate(lines, start=1):
+        if not raw.strip():
+            continue
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            yield line_no, "invalid utf-8"
+            continue
+        try:
+            if text.startswith("\ufeff"):  # as json.loads(str) refuses it
+                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", "", 0)
+            obj = _DECODER.decode(text)
+        except (ValueError, RecursionError) as exc:
+            yield line_no, f"invalid json: {_json_failure(exc)}"
+            continue
+        if not isinstance(obj, dict):
+            yield line_no, "not a json object"
+            continue
+        try:
+            item = _validate_record(obj, valid)
+        except ValueError as exc:
+            item = str(exc)
+        yield line_no, item
 
 
 def parse_packet_log(stream: BinaryIO | bytes, source_label: str = "") -> CaptureWindow:
@@ -177,29 +212,11 @@ def parse_packet_log(stream: BinaryIO | bytes, source_label: str = "") -> Captur
 
     records: list[PacketRecord] = []
     rejections: list[RejectedLine] = []
-
-    for line_no, raw in enumerate(stream, start=1):
-        if not raw.strip():
-            continue
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError:
-            rejections.append(RejectedLine(line_no, "invalid utf-8"))
-            continue
-        try:
-            if text.startswith("\ufeff"):  # as json.loads(str) refuses it
-                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", "", 0)
-            obj = _DECODER.decode(text)
-        except (ValueError, RecursionError) as exc:
-            rejections.append(RejectedLine(line_no, f"invalid json: {_json_failure(exc)}"))
-            continue
-        if not isinstance(obj, dict):
-            rejections.append(RejectedLine(line_no, "not a json object"))
-            continue
-        try:
-            records.append(_validate_record(obj))
-        except ValueError as exc:
-            rejections.append(RejectedLine(line_no, str(exc)))
+    for line_no, item in scan_packet_log(stream):
+        if isinstance(item, str):
+            rejections.append(RejectedLine(line_no, item))
+        else:
+            records.append(PacketRecord(*item))
 
     records.sort(key=lambda r: r.ts_us)  # stable: ties keep line order
     stats = IngestStats(

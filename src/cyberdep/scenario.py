@@ -7,6 +7,7 @@ first baseline run when one exists), and evaluates the signature patterns
 the four disturbance scenarios are expected to show.
 """
 
+import sys
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple
@@ -68,6 +69,11 @@ GEN1_EDGE = ("gen-1", "scada")
 
 #: Default tolerance for calling sampled baseline traffic "uniform".
 DEFAULT_UNIFORMITY_TOL = 0.02
+
+
+def is_tolerance(value: float) -> bool:
+    """True for a usable uniformity tolerance: finite and >= 0 (NaN is neither)."""
+    return 0 <= value <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -182,9 +188,11 @@ def compare(
 
     Runs are ordered by (scenario, run_id) regardless of input order; the
     reference for deltas is the first baseline run, or the first run overall
-    when no baseline is present. Requires at least one run and unique
-    (scenario, run_id) keys.
+    when no baseline is present. Requires at least one run, unique
+    (scenario, run_id) keys and a finite, nonnegative ``uniformity_tol``.
     """
+    if not is_tolerance(uniformity_tol):
+        raise ValidationError(f"uniformity_tol must be finite and >= 0, got {uniformity_tol!r}")
     ordered = sorted(runs, key=lambda r: (_SCENARIO_ORDER[r.scenario], r.run_id))
     if not ordered:
         raise ValidationError("compare requires at least one run")

@@ -2,8 +2,10 @@
 
 The topology is an explicit JSON document, never inferred from traffic:
 
-    {"label": "<str>", "devices": [{"name": "<str>", "role": "scada|field|router|other",
-                                    "substation": "<str|absent>", "addrs": ["<ipv4>", ...]}]}
+    {"devices": [{"name": "<str>", "role": "scada|field|router|other",
+                  "substation": "<str|absent>", "addrs": ["<ipv4>", ...]}]}
+
+Keys other than these are ignored.
 
 A bundled fixture (``wscc9.topology.json``) models a 9-bus, three-substation
 test system with a control-center SCADA master, three generators, three
@@ -54,7 +56,6 @@ class Topology:
     """
 
     devices: tuple[Device, ...]
-    label: str = ""
     _by_addr: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     _by_name: dict = field(init=False, repr=False, compare=False, default_factory=dict)
     scada_master: Device = field(init=False, repr=False, compare=False, default=None)
@@ -127,7 +128,7 @@ def load_topology(stream: BinaryIO | bytes) -> Topology:
             raise FormatError(f"device {name!r}: 'substation' must be a string")
         devices.append(Device(name, role, frozenset(addrs), substation))
 
-    return Topology(tuple(devices), doc.get("label", ""))
+    return Topology(tuple(devices))
 
 
 def default_topology() -> Topology:

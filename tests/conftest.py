@@ -25,7 +25,7 @@ def make_topology(n_field: int, scada_name: str = "scada") -> Topology:
                 frozenset({f"10.9.1.{i + 1}"}),
             )
         )
-    return Topology(tuple(devices), label=f"test-{n_field}-field")
+    return Topology(tuple(devices))
 
 
 def equal_flow_rows(topology: Topology, per_device: int) -> list[dict]:

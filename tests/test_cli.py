@@ -154,6 +154,21 @@ class TestBuild:
         assert "  ... 3 more rejected lines not shown" in err
 
 
+    def test_verbose_rejects_non_string_endpoints(self, topo_file, tmp_path, capsys):
+        values = [["10.9.1.1"], {"a": 1}, None, 7, True]
+        rows = [{"ts_us": 1, "src": "10.9.0.1", "dst": "10.9.1.1", "proto": "dnp3"}]
+        rows += [{**rows[0], key: value} for key in ("src", "dst") for value in values]
+        capture = tmp_path / "typed.jsonl"
+        capture.write_bytes(jsonl_bytes(rows))
+        assert main(["build", "-v", "--in", str(capture), "--topo", str(topo_file),
+                     "--out", str(tmp_path / "g.json")]) == 0
+        shown = [line for line in capsys.readouterr().err.splitlines() if "rejected line" in line]
+        assert shown == [
+            f"  rejected line {n}: {key} must be a string"
+            for n, key in enumerate(["src"] * 5 + ["dst"] * 5, start=2)
+        ]
+
+
 class TestExport:
     def test_json_to_dot(self, graph_file, tmp_path):
         out = tmp_path / "g.dot"

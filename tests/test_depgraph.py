@@ -5,13 +5,17 @@ by summing over every firing pattern of the active parents; noisy_or must
 agree with it to float precision.
 """
 
+import io
 import itertools
+import json
 import math
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyberdep.depgraph import (
+    BuildResult,
     ConditionalQuery,
     DependencyGraph,
     DgEdge,
@@ -20,6 +24,7 @@ from cyberdep.depgraph import (
     GraphOptions,
     Normalization,
     build_graph,
+    build_graph_from_lines,
     collapse_to_scada,
     count_flows,
     edge_probabilities,
@@ -28,7 +33,8 @@ from cyberdep.depgraph import (
     query,
 )
 from cyberdep.errors import QueryError, ValidationError
-from cyberdep.ingest import Dnp3MessageType, parse_packet_log
+from cyberdep.ingest import Dnp3MessageType, filter_dnp3, parse_packet_log
+from cyberdep.synth import builtin_profile, generate
 from cyberdep.topology import DeviceRole, map_window
 from conftest import equal_flow_rows, jsonl_bytes, make_topology
 
@@ -424,8 +430,6 @@ class TestBuildGraph:
         window = parse_packet_log(jsonl_bytes(equal_flow_rows(topo, 4)))
         graph = build_graph(window, topo).graph
 
-        from cyberdep.ingest import filter_dnp3
-
         mapped, _ = map_window(topo, filter_dnp3(window))
         counts, _ = collapse_to_scada(count_flows(mapped), topo)
         manual = edge_probabilities(counts, roles=topo.roles())
@@ -458,6 +462,106 @@ class TestBuildGraph:
         graph = build_graph(window, topo, GraphOptions(scada_collapse=False)).graph
         assert graph.edge("scada", "dev-01") is not None
         assert graph.edge("dev-01", "scada") is not None
+
+
+# -- streamed build ----------------------------------------------------------
+
+# 10.9.0.1 is the master and 10.9.1.x the field devices of make_topology(3);
+# 10.9.2.x resolve to nothing.
+ADDRESSES = ["10.9.0.1", "10.9.1.1", "10.9.1.2", "10.9.1.3", "10.9.2.1", "10.9.2.2"]
+MALFORMED_LINES = [
+    b"\xff\xfe garbage",
+    b"{broken",
+    b'\xef\xbb\xbf{"ts_us": 1}',
+    b"[1, 2]",
+    b'"text"',
+    b"[" * 2000,
+    b"1" * 5000,
+    b'{"ts_us": 1, "x": NaN}',
+    *(
+        json.dumps({"ts_us": 1, "src": "10.9.0.1", "dst": "10.9.1.1", "proto": "dnp3",
+                    "dnp3_fn": "read", **bad}).encode()
+        for bad in [
+            {"ts_us": "1"}, {"ts_us": True}, {"ts_us": 1.5}, {"ts_us": -1},
+            {"src": ["10.9.0.1"]}, {"src": {"a": 1}}, {"src": None}, {"dst": 7},
+            {"dst": False}, {"src": "10.9.0.010"}, {"dst": "10.9.0.1"},
+            {"proto": 3}, {"dnp3_fn": ["read"]},
+        ]
+    ),
+]
+record_lines = st.builds(
+    lambda ts, src, dst, proto, fn: json.dumps(
+        {"ts_us": ts, "src": src, "dst": dst, "proto": proto,
+         **({} if fn is None else {"dnp3_fn": fn})}
+    ).encode(),
+    st.integers(0, 50),
+    st.sampled_from(ADDRESSES),
+    st.sampled_from(ADDRESSES),
+    st.sampled_from(["dnp3", "DNP3", "modbus"]),
+    st.sampled_from([None, "read", "response", "request_link_status", "direct_operate",
+                     "READ", "cold_restart"]),
+)
+capture_lines = st.lists(
+    st.one_of(record_lines, st.sampled_from(MALFORMED_LINES), st.sampled_from([b"", b" \t\r"])),
+    max_size=80,
+)
+ALL_OPTIONS = [
+    GraphOptions(collapse, normalization)
+    for collapse in (True, False)
+    for normalization in (Normalization.GLOBAL, Normalization.PER_SINK)
+]
+
+
+def staged_build(window, topo, options):
+    """The library stages one by one: the reference both builds must match."""
+    filtered = filter_dnp3(window)
+    mapped, unmapped = map_window(topo, filtered)
+    counts, scada_dropped = count_flows(mapped), 0
+    if options.scada_collapse:
+        counts, scada_dropped = collapse_to_scada(counts, topo)
+    graph = edge_probabilities(counts, options.normalization, topo.roles())
+    return BuildResult(graph, filtered.stats.filtered_out, unmapped, scada_dropped)
+
+
+class TestBuildGraphFromLines:
+    @settings(max_examples=300, deadline=None)
+    @given(lines=capture_lines, final_newline=st.booleans())
+    @example(lines=MALFORMED_LINES * 2 + [b'{"ts_us": 0, "src": "10.9.2.1", "dst": "10.9.2.2", '
+                                          b'"proto": "dnp3", "dnp3_fn": "read"}'],
+             final_newline=True)
+    def test_streamed_equals_staged(self, lines, final_newline):
+        """Random mixes of valid, malformed, blank, non-DNP3, unmapped, non-SCADA and
+        out-of-order lines give the staged build's result, stats and first rejections."""
+        topo = make_topology(3)
+        data = b"\n".join(lines) + (b"\n" if final_newline else b"")
+        window = parse_packet_log(data)
+        for options in ALL_OPTIONS:
+            result, stats, rejections = build_graph_from_lines(io.BytesIO(data), topo, options)
+            assert result == staged_build(window, topo, options)
+            assert result == build_graph(window, topo, options)
+            assert stats == window.stats
+            assert rejections == window.rejections[:20]
+
+    def test_peak_memory_flat_in_capture_length(self, wscc, tmp_path):
+        """A streamed build of a 4N-line capture peaks within 1.25x of an N-line one."""
+
+        def peak(n):
+            profile = builtin_profile("dos_only", wscc, n_messages=n, seed=1, noise_fraction=0.1)
+            path = tmp_path / f"capture-{n}.jsonl"
+            path.write_bytes(generate(profile, wscc))
+            tracemalloc.start()
+            try:
+                with path.open("rb") as lines:
+                    result, _, _ = build_graph_from_lines(lines, wscc)
+                return tracemalloc.get_traced_memory()[1], result.graph.grand_total
+            finally:
+                tracemalloc.stop()
+
+        peak(1000)  # warm up caches that a first call fills
+        small, small_total = peak(5000)
+        large, large_total = peak(20000)
+        assert (small_total, large_total) == (5000, 20000)
+        assert large <= 1.25 * small
 
 
 def test_format_probability_two_decimals():

@@ -13,6 +13,7 @@ from cyberdep.ingest import (
     IPV4_PATTERN,
     CaptureWindow,
     Dnp3MessageType,
+    RejectedLine,
     export_csv,
     filter_dnp3,
     parse_csv,
@@ -115,6 +116,14 @@ class TestParsePacketLog:
         assert window.stats.parsed == 0
         assert window.stats.rejected == 1
         assert reason_part in window.rejections[0].reason
+
+    @pytest.mark.parametrize("key", ["src", "dst"])
+    @pytest.mark.parametrize("value", [["10.0.0.1"], {"a": 1}, None, 7, True])
+    def test_non_string_endpoint_rejected_after_valid_lines(self, key, value):
+        """The address memo must not be consulted before the type check."""
+        window = parse_packet_log(jsonl_bytes([row(1), row(2, **{key: value}), row(3)]))
+        assert window.stats.parsed == 2
+        assert window.rejections == (RejectedLine(2, f"{key} must be a string"),)
 
     def test_unknown_fn_maps_to_other(self):
         window = parse_packet_log(jsonl_bytes([row(1, fn="cold_restart"), row(2, fn=None)]))

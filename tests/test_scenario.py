@@ -155,6 +155,16 @@ class TestCompare:
             compare([run(ScenarioKind.BASELINE, 1, BASE),
                      run(ScenarioKind.BASELINE, 1, BASE)])
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, -1e-12, float("inf"), float("-inf")])
+    def test_bad_uniformity_tol_rejected(self, tol):
+        with pytest.raises(ValidationError, match=f"uniformity_tol must be finite and >= 0, got {tol!r}"):
+            compare([run(ScenarioKind.BASELINE, 1, BASE)], uniformity_tol=tol)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e308])
+    def test_uniformity_tol_bounds_accepted(self, tol):
+        flags = compare([run(ScenarioKind.BASELINE, 1, BASE)], uniformity_tol=tol).flags
+        assert flags.baseline_uniform is (tol > 0)
+
     def test_mitigation_needs_gen1_third(self):
         # loads on top but gen-1 pushed to 4th place: pattern must fail
         shuffled = dict(MIT, **{"gen-1": 0.07, "load-8": 0.21})

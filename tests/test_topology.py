@@ -43,9 +43,14 @@ class TestLoadTopology:
 
     def test_minimal_document(self):
         topo = load_topology(topo_doc([SCADA]))
-        assert topo.label == "t"
         assert topo.resolve("10.0.0.10").name == "master"
         assert topo.resolve("10.0.0.99") is None
+
+    @pytest.mark.parametrize("label", ["t", 5, ["x"], None])
+    def test_label_is_an_ignored_key(self, label):
+        topo = load_topology(topo_doc([SCADA], label=label))
+        assert topo == load_topology(json.dumps({"devices": [SCADA]}).encode())
+        assert not hasattr(topo, "label")
 
     def test_substation_optional(self):
         doc = topo_doc([SCADA, {"name": "g", "role": "field", "addrs": ["10.0.0.11"],
