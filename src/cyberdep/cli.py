@@ -172,7 +172,10 @@ def cmd_compare(args) -> int:
         graph = _build_from_capture(args, capture_path, topo)
         runs.append(scenario.ScenarioRun(kind, run_id, capture, graph))
 
-    report = scenario.compare(runs, uniformity_tol=args.uniformity_tol)
+    report = scenario.compare(runs, uniformity_tol=args.uniformity_tol, topology=topo)
+    if args.verbose:
+        for flag, devices in report.unchecked.items():
+            _diag(f"  {flag}: n/a, topology lacks {', '.join(devices)}")
     if args.format == "text":
         payload = report.to_text().encode("utf-8")
     else:

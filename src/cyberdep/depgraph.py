@@ -382,11 +382,12 @@ def _build_from_counts(
 
     ``counts`` holds n records per (src_addr, dst_addr, message type) key, so
     each key is filtered and resolved once. A key with an unknown endpoint
-    adds n to the unmapped records and n per unknown endpoint to ``by_addr``.
+    adds n to the unmapped records and n per unknown endpoint to ``by_addr``;
+    one whose endpoints resolve to the same device adds n to ``scada_dropped``.
     """
     entries: dict[tuple[str, str], dict[Dnp3MessageType, int]] = {}
     unknown: Counter = Counter()
-    unmapped = 0
+    unmapped = scada_dropped = 0
     for (src_addr, dst_addr, message_type), n in counts.items():
         if message_type not in DNP3_SYSCALLS:
             filtered_out += n
@@ -398,12 +399,16 @@ def _build_from_counts(
                 if device is None:
                     unknown[addr] += n
             continue
+        if src is dst:  # traffic inside one device is no dependency
+            scada_dropped += n
+            continue
         by_type = entries.setdefault((src.name, dst.name), {})
         by_type[message_type] = by_type.get(message_type, 0) + n
 
-    flows, scada_dropped = FlowCounts(entries), 0
+    flows = FlowCounts(entries)
     if options.scada_collapse:
-        flows, scada_dropped = collapse_to_scada(flows, topology)
+        flows, collapsed = collapse_to_scada(flows, topology)
+        scada_dropped += collapsed
     graph = edge_probabilities(flows, options.normalization, topology.roles())
     return BuildResult(graph, filtered_out, UnmappedReport(unmapped, dict(unknown)), scada_dropped)
 

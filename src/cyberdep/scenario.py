@@ -8,12 +8,13 @@ the four disturbance scenarios are expected to show.
 """
 
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .depgraph import DependencyGraph, DgEdge, format_probability
 from .errors import ValidationError
+from .topology import Topology, default_topology
 
 
 class ScenarioKind(Enum):
@@ -47,25 +48,25 @@ def rank_edges(graph: DependencyGraph) -> list[DgEdge]:
     return sorted(graph.edges, key=lambda e: (-e.probability, e.source, e.sink))
 
 
-class UniformityResult(NamedTuple):
-    uniform: bool
-    max_deviation: float
-
-
-def uniformity_check(graph: DependencyGraph, tol: float) -> UniformityResult:
+def uniformity_check(graph: DependencyGraph, tol: float) -> bool:
     """True iff every edge probability is within tol of the mean probability."""
     if not graph.edges:
-        return UniformityResult(True, 0.0)
+        return True
     probs = [e.probability for e in graph.edges]
     mean = sum(probs) / len(probs)
-    deviation = max(abs(p - mean) for p in probs)
-    return UniformityResult(deviation <= tol, deviation)
+    return max(abs(p - mean) for p in probs) <= tol
 
 
-#: The edges the scenario signature patterns are keyed to.
-LOAD5_EDGE = ("load-5", "scada")
-LOAD6_EDGE = ("load-6", "scada")
-GEN1_EDGE = ("gen-1", "scada")
+#: The signature each scenario's traffic is expected to show: ranked tiers,
+#: highest first, each a synth weight boost and the devices it lifts. A run
+#: matches when its ranked edges, tier by tier, are exactly those devices ->
+#: the SCADA master. No tiers means the traffic must be uniform.
+SIGNATURES: dict[ScenarioKind, tuple[tuple[float, tuple[str, ...]], ...]] = {
+    ScenarioKind.BASELINE: (),
+    ScenarioKind.DOS_ONLY: ((5.0, ("load-5", "load-6")),),
+    ScenarioKind.NO_MITIGATION: ((4.0, ("gen-1", "load-5")),),
+    ScenarioKind.WITH_MITIGATION: ((5.0, ("load-5", "load-6")), (3.0, ("gen-1",))),
+}
 
 #: Default tolerance for calling sampled baseline traffic "uniform".
 DEFAULT_UNIFORMITY_TOL = 0.02
@@ -78,16 +79,13 @@ def is_tolerance(value: float) -> bool:
 
 @dataclass(frozen=True)
 class ScenarioFlags:
-    """Signature-pattern booleans; None when no run of that scenario is present.
+    """One flag per scenario, in ``ScenarioKind`` order: does every run of it
+    show that scenario's ``SIGNATURES`` entry?
 
-    baseline_uniform    every baseline run's edge probabilities are equal
-                        within the tolerance.
-    dos_top2            every DOS-only run ranks the two load->SCADA edges
-                        highest.
-    no_mitigation_top2  every no-mitigation run's top two edges are
-                        {gen-1->scada, load-5->scada}.
-    mitigation_pattern  every with-mitigation run ranks loads 5 and 6 first
-                        and gen-1 third.
+    baseline_uniform is the check of the empty signature: every edge
+    probability within the tolerance of the mean. The other three check the
+    ranked tiers. A flag is None when no run of its scenario is present, or
+    when its signature names a device the topology lacks.
     """
 
     baseline_uniform: bool | None = None
@@ -111,6 +109,8 @@ class ComparisonReport:
     rankings: dict = field(default_factory=dict)  # run key -> list[DgEdge]
     deltas: tuple[RunDeltas, ...] = ()
     flags: ScenarioFlags = ScenarioFlags()
+    #: flag name -> signature devices the topology lacks, for flags left None.
+    unchecked: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -170,19 +170,20 @@ def _edge_probs(graph: DependencyGraph) -> dict[tuple[str, str], float]:
     return {e.key: e.probability for e in graph.edges}
 
 
-def _top_keys(ranking: list[DgEdge], n: int) -> set[tuple[str, str]]:
-    return {e.key for e in ranking[:n]}
-
-
-def _all_or_none(results: list[bool]) -> bool | None:
-    if not results:
-        return None
-    return all(results)
+def _matches(ranking: list[DgEdge], tiers, master: str) -> bool:
+    start = 0
+    for _, devices in tiers:
+        end = start + len(devices)
+        if {e.key for e in ranking[start:end]} != {(d, master) for d in devices}:
+            return False
+        start = end
+    return True
 
 
 def compare(
     runs: Iterable[ScenarioRun],
     uniformity_tol: float = DEFAULT_UNIFORMITY_TOL,
+    topology: Topology | None = None,
 ) -> ComparisonReport:
     """Build a deterministic comparison report over an experiment set.
 
@@ -190,6 +191,8 @@ def compare(
     reference for deltas is the first baseline run, or the first run overall
     when no baseline is present. Requires at least one run, unique
     (scenario, run_id) keys and a finite, nonnegative ``uniformity_tol``.
+    The signature flags rank edges into ``topology``'s SCADA master; None
+    means the bundled topology.
     """
     if not is_tolerance(uniformity_tol):
         raise ValidationError(f"uniformity_tol must be finite and >= 0, got {uniformity_tol!r}")
@@ -224,42 +227,27 @@ def compare(
             )
         )
 
-    load_edges = {LOAD5_EDGE, LOAD6_EDGE}
-
-    baseline_checks = [
-        uniformity_check(run.graph, uniformity_tol).uniform
-        for run in ordered
-        if run.scenario is ScenarioKind.BASELINE
-    ]
-    dos_checks = [
-        _top_keys(rankings[run.key], 2) == load_edges
-        for run in ordered
-        if run.scenario is ScenarioKind.DOS_ONLY
-    ]
-    nomit_checks = [
-        _top_keys(rankings[run.key], 2) == {GEN1_EDGE, LOAD5_EDGE}
-        for run in ordered
-        if run.scenario is ScenarioKind.NO_MITIGATION
-    ]
-    mit_checks = [
-        len(rankings[run.key]) >= 3
-        and _top_keys(rankings[run.key], 2) == load_edges
-        and rankings[run.key][2].key == GEN1_EDGE
-        for run in ordered
-        if run.scenario is ScenarioKind.WITH_MITIGATION
-    ]
-
-    flags = ScenarioFlags(
-        baseline_uniform=_all_or_none(baseline_checks),
-        dos_top2=_all_or_none(dos_checks),
-        no_mitigation_top2=_all_or_none(nomit_checks),
-        mitigation_pattern=_all_or_none(mit_checks),
-    )
+    topology = topology or default_topology()
+    master = topology.scada_master.name
+    flags, unchecked = {}, {}
+    for kind, flag in zip(ScenarioKind, (f.name for f in fields(ScenarioFlags))):
+        kind_runs = [run for run in ordered if run.scenario is kind]
+        tiers = SIGNATURES[kind]
+        missing = sorted({d for _, ds in tiers for d in ds if topology.device(d) is None})
+        if kind_runs and missing:
+            unchecked[flag] = tuple(missing)
+        elif kind_runs:
+            flags[flag] = all(
+                _matches(rankings[run.key], tiers, master) if tiers
+                else uniformity_check(run.graph, uniformity_tol)
+                for run in kind_runs
+            )
 
     return ComparisonReport(
         runs=tuple(ordered),
         reference=reference.key,
         rankings=rankings,
         deltas=tuple(deltas),
-        flags=flags,
+        flags=ScenarioFlags(**flags),
+        unchecked=unchecked,
     )

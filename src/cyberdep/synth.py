@@ -25,7 +25,7 @@ from typing import BinaryIO
 
 from .errors import FormatError, ValidationError
 from .ingest import DNP3_SYSCALLS, Dnp3MessageType, is_number, parse_message_type, read_json
-from .scenario import ScenarioKind
+from .scenario import SIGNATURES, ScenarioKind
 from .topology import DeviceRole, Topology
 
 MIX_SUM_TOL = 1e-9
@@ -138,18 +138,14 @@ def generate(profile: TrafficProfile, topology: Topology) -> bytes:
     return "".join(lines).encode("ascii")
 
 
-# name -> (scenario, weight boosts relative to the 1.0 default carried by
-# every field device). The boosts encode scenario rankings, deliberately not
-# magnitudes.
-_PROFILES: dict[str, tuple[ScenarioKind, dict[str, float]]] = {
-    "baseline": (ScenarioKind.BASELINE, {}),
-    "dos_only": (ScenarioKind.DOS_ONLY, {"load-5": 5.0, "load-6": 5.0}),
-    "no_mitigation": (ScenarioKind.NO_MITIGATION, {"gen-1": 4.0, "load-5": 4.0}),
-    "with_mitigation": (
-        ScenarioKind.WITH_MITIGATION, {"load-5": 5.0, "load-6": 5.0, "gen-1": 3.0}
-    ),
-    "dos_run3_variant": (ScenarioKind.DOS_ONLY, {"load-5": 0.2, "load-6": 0.2}),
-}
+# name -> (scenario, ranked (weight boost, devices) tiers). Every field device
+# carries weight 1.0 and a tier's devices get its boost: the boosts encode
+# the scenario rankings of ``SIGNATURES``, deliberately not magnitudes.
+_PROFILES = {kind.value: (kind, SIGNATURES[kind]) for kind in ScenarioKind}
+# The divergent control: the DOS signature's devices damped instead of boosted.
+_PROFILES["dos_run3_variant"] = (
+    ScenarioKind.DOS_ONLY, tuple((0.2, ds) for _, ds in SIGNATURES[ScenarioKind.DOS_ONLY])
+)
 
 BUILTIN_PROFILES = tuple(_PROFILES)
 
@@ -171,13 +167,14 @@ def builtin_profile(
     }
     if not weights:
         raise ValidationError("topology has no field devices to weight")
-    scenario, boosts = _PROFILES[name]
-    for device, weight in boosts.items():
-        if device not in weights:
-            raise ValidationError(
-                f"profile {name!r} expects field device {device!r} in the topology"
-            )
-        weights[device] = weight
+    scenario, tiers = _PROFILES[name]
+    for boost, devices in tiers:
+        for device in devices:
+            if device not in weights:
+                raise ValidationError(
+                    f"profile {name!r} expects field device {device!r} in the topology"
+                )
+            weights[device] = boost
     return TrafficProfile(
         scenario=scenario,
         weights=weights,

@@ -55,6 +55,20 @@ def equal_flow_rows(topology: Topology, per_device: int) -> list[dict]:
     return rows
 
 
+# Four records between dev-01 and the master, then three inside one device:
+# scada's two addresses once, dev-01's two addresses twice (scada holds
+# 10.9.0.1-2 and dev-01 10.9.1.1-2).
+INTRA_DEVICE_ROWS = [
+    {"ts_us": ts, "src": src, "dst": dst, "proto": "dnp3", "dnp3_fn": fn}
+    for ts, (src, dst, fn) in enumerate([
+        ("10.9.0.1", "10.9.1.1", "read"), ("10.9.1.1", "10.9.0.1", "response"),
+        ("10.9.0.2", "10.9.1.2", "read"), ("10.9.1.2", "10.9.0.2", "response"),
+        ("10.9.0.1", "10.9.0.2", "read"),
+        ("10.9.1.1", "10.9.1.2", "response"), ("10.9.1.2", "10.9.1.1", "response"),
+    ], start=1)
+]
+
+
 @pytest.fixture(scope="session")
 def wscc() -> Topology:
     return default_topology()

@@ -6,7 +6,7 @@ import pytest
 
 from cyberdep.cli import main
 from cyberdep.graphio import graph_to_json_bytes, load_graph_json
-from conftest import jsonl_bytes, make_topology, equal_flow_rows
+from conftest import INTRA_DEVICE_ROWS, jsonl_bytes, make_topology, equal_flow_rows
 
 
 @pytest.fixture
@@ -166,6 +166,27 @@ class TestBuild:
         assert shown == [
             f"  rejected line {n}: {key} must be a string"
             for n, key in enumerate(["src"] * 5 + ["dst"] * 5, start=2)
+        ]
+
+    @pytest.mark.parametrize("collapse_args, edges", [
+        ([], [["dev-01", "scada"]]),
+        (["--no-scada-collapse"], [["dev-01", "scada"], ["scada", "dev-01"]]),
+    ])
+    def test_intra_device_traffic_dropped(self, tmp_path, capsys, collapse_args, edges):
+        topo = tmp_path / "topo.json"
+        topo.write_text(json.dumps({"devices": [
+            {"name": "scada", "role": "scada", "addrs": ["10.9.0.1", "10.9.0.2"]},
+            {"name": "dev-01", "role": "field", "addrs": ["10.9.1.1", "10.9.1.2"]},
+        ]}))
+        capture = tmp_path / "intra.jsonl"
+        capture.write_bytes(jsonl_bytes(INTRA_DEVICE_ROWS))
+        rc = main(["build", "--in", str(capture), "--topo", str(topo), *collapse_args])
+        out, err = capsys.readouterr()
+        assert rc == 0
+        assert [[e["source"], e["sink"]] for e in json.loads(out)["edges"]] == edges
+        assert err.splitlines()[:2] == [
+            f"{capture}: parsed 7/7 lines (0 rejected); dnp3 retained 7 (filtered out 0)",
+            f"{capture}: mapped 7 records (0 unmapped); non-scada flow dropped: 3",
         ]
 
 

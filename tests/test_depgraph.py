@@ -35,8 +35,8 @@ from cyberdep.depgraph import (
 from cyberdep.errors import QueryError, ValidationError
 from cyberdep.ingest import Dnp3MessageType, filter_dnp3, parse_packet_log
 from cyberdep.synth import builtin_profile, generate
-from cyberdep.topology import DeviceRole, map_window
-from conftest import equal_flow_rows, jsonl_bytes, make_topology
+from cyberdep.topology import Device, DeviceRole, Topology, map_window
+from conftest import INTRA_DEVICE_ROWS, equal_flow_rows, jsonl_bytes, make_topology
 
 READ = Dnp3MessageType.READ
 RESPOND = Dnp3MessageType.RESPOND
@@ -462,6 +462,24 @@ class TestBuildGraph:
         graph = build_graph(window, topo, GraphOptions(scada_collapse=False)).graph
         assert graph.edge("scada", "dev-01") is not None
         assert graph.edge("dev-01", "scada") is not None
+
+    @pytest.mark.parametrize("collapse, edges", [
+        (True, {("dev-01", "scada")}),
+        (False, {("scada", "dev-01"), ("dev-01", "scada")}),
+    ])
+    def test_intra_device_traffic_dropped(self, collapse, edges):
+        topo = Topology((
+            Device("scada", DeviceRole.SCADA_MASTER, frozenset({"10.9.0.1", "10.9.0.2"})),
+            Device("dev-01", DeviceRole.FIELD_DEVICE, frozenset({"10.9.1.1", "10.9.1.2"})),
+        ))
+        data = jsonl_bytes(INTRA_DEVICE_ROWS)
+        window = parse_packet_log(data)
+        for result in (build_graph(window, topo, GraphOptions(collapse)),
+                       build_graph_from_lines(io.BytesIO(data), topo, GraphOptions(collapse))[0]):
+            assert {e.key for e in result.graph.edges} == edges
+            assert result.graph.grand_total == 4
+            assert result.scada_dropped == 3  # mapped 7 = grand_total 4 + dropped 3
+            assert result.unmapped.records == 0
 
 
 # -- streamed build ----------------------------------------------------------

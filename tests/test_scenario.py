@@ -1,10 +1,19 @@
 """Edge ranking, uniformity, and cross-scenario comparison reports."""
 
+import ast
+import io
+import json
+from dataclasses import asdict
+from pathlib import Path
+
 import pytest
 
-from cyberdep.depgraph import DependencyGraph, DgEdge, DgNode, Normalization
+import cyberdep
+from cyberdep.cli import main
+from cyberdep.depgraph import DependencyGraph, DgEdge, DgNode, Normalization, build_graph_from_lines
 from cyberdep.errors import ValidationError
 from cyberdep.scenario import (
+    SIGNATURES,
     ComparisonReport,
     ScenarioKind,
     ScenarioRun,
@@ -12,6 +21,8 @@ from cyberdep.scenario import (
     rank_edges,
     uniformity_check,
 )
+from cyberdep.synth import builtin_profile, generate
+from cyberdep.topology import DEFAULT_TOPOLOGY_RESOURCE, load_topology
 
 
 def star_graph(weights: dict[str, float], sink: str = "scada") -> DependencyGraph:
@@ -52,21 +63,18 @@ class TestRankEdges:
 
 class TestUniformityCheck:
     def test_equal_probabilities_are_uniform(self):
-        result = uniformity_check(star_graph({"a": 0.25, "b": 0.25, "c": 0.25, "d": 0.25}), 0.0)
-        assert result.uniform
-        assert result.max_deviation == 0.0
+        assert uniformity_check(star_graph({"a": 0.25, "b": 0.25, "c": 0.25, "d": 0.25}), 0.0)
 
     def test_near_uniform_within_tolerance(self):
-        result = uniformity_check(star_graph(BASE), 0.02)
-        assert result.uniform
-        assert 0.0 < result.max_deviation <= 0.02
+        assert uniformity_check(star_graph(BASE), 0.02)
+        assert not uniformity_check(star_graph(BASE), 0.0)
 
     def test_spiked_graph_not_uniform(self):
         result = uniformity_check(star_graph(DOS), 0.02)
-        assert not result.uniform
+        assert not result
 
     def test_empty_graph_is_uniform(self):
-        assert uniformity_check(DependencyGraph((), ()), 0.0) == (True, 0.0)
+        assert uniformity_check(DependencyGraph((), ()), 0.0) is True
 
 
 class TestScenarioRun:
@@ -207,3 +215,131 @@ class TestReportOutput:
         import json
 
         json.dumps(report.to_json_dict())  # must be serializable as-is
+
+
+# -- the signature table -------------------------------------------------------
+
+RANKING_FLAGS = ("dos_top2", "no_mitigation_top2", "mitigation_pattern")
+
+
+def synth_run(name, kind, run_id, topo, n_messages=10_000):
+    profile = builtin_profile(name, topo, n_messages=n_messages, seed=run_id)
+    result, _, _ = build_graph_from_lines(io.BytesIO(generate(profile, topo)), topo)
+    return ScenarioRun(kind, run_id, f"{name}-{run_id}", result.graph)
+
+
+class TestSignatureTable:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_builtin_profiles_show_their_signature(self, wscc, seed):
+        runs = [synth_run(kind.value, kind, seed, wscc) for kind in ScenarioKind]
+        report = compare(runs, topology=wscc)
+        assert all(asdict(report.flags).values()), report.flags
+        assert report.unchecked == {}
+
+        variant = synth_run("dos_run3_variant", ScenarioKind.DOS_ONLY, seed, wscc)
+        assert compare([variant], topology=wscc).flags.dos_top2 is False
+
+    def test_tiers_rank_into_the_topology_master(self):
+        sink = "master"
+        topo = renamed_topology({"scada": sink})
+        runs = [
+            ScenarioRun(ScenarioKind.DOS_ONLY, 1, "d", star_graph(DOS, sink)),
+            ScenarioRun(ScenarioKind.NO_MITIGATION, 1, "n", star_graph(NOMIT, sink)),
+            ScenarioRun(ScenarioKind.WITH_MITIGATION, 1, "m", star_graph(MIT, sink)),
+        ]
+        flags = compare(runs, topology=topo).flags
+        assert [getattr(flags, name) for name in RANKING_FLAGS] == [True] * 3
+        # the bundled master's name is no longer the sink
+        assert compare(runs).flags.dos_top2 is False
+
+    def test_missing_signature_device_flags_none(self):
+        renames = {"load-5": "bus-5", "load-6": "bus-6"}
+        dos = {renames.get(name, name): p for name, p in DOS.items()}
+        runs = [run(ScenarioKind.DOS_ONLY, 1, dos), run(ScenarioKind.BASELINE, 1, BASE)]
+        report = compare(runs, topology=renamed_topology(renames))
+        assert report.flags.dos_top2 is None
+        assert report.flags.baseline_uniform is True
+        assert report.unchecked == {"dos_top2": ("load-5", "load-6")}
+        assert "unchecked" not in report.to_json_dict()
+
+    @pytest.mark.parametrize("renames, flags, stderr", [
+        ({"scada": "master"}, [True] * 3, []),
+        ({"load-5": "bus-5", "load-6": "bus-6"}, [None] * 3, [
+            "  dos_top2: n/a, topology lacks load-5, load-6",
+            "  no_mitigation_top2: n/a, topology lacks load-5",
+            "  mitigation_pattern: n/a, topology lacks load-5, load-6",
+        ]),
+    ])
+    def test_cli_on_renamed_topology(self, tmp_path, capsys, renames, flags, stderr):
+        topo_path = tmp_path / "renamed.json"
+        topo_path.write_text(json.dumps(renamed_topology_doc(renames)))
+        manifest = []
+        for kind in ScenarioKind:
+            # the bundled topology shares every address with the renamed one
+            assert main(["synth", "--profile", kind.value, "--n", "3000", "--seed", "1",
+                         "--out", str(tmp_path / f"{kind.value}.jsonl")]) == 0
+            manifest.append({"scenario": kind.value, "run_id": 1,
+                             "capture": f"{kind.value}.jsonl"})
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+
+        assert main(["compare", "-v", "--in", str(tmp_path / "manifest.json"),
+                     "--topo", str(topo_path)]) == 0
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        assert [doc["flags"][name] for name in RANKING_FLAGS] == flags
+        assert doc["flags"]["baseline_uniform"] is True
+        assert [line for line in err.splitlines() if "n/a" in line] == stderr
+
+        assert main(["compare", "--format", "text", "--in", str(tmp_path / "manifest.json"),
+                     "--topo", str(topo_path)]) == 0
+        out, err = capsys.readouterr()
+        rendered = ["n/a" if f is None else str(f).lower() for f in flags]
+        assert out.endswith(
+            f"flags: baseline_uniform=true, dos_top2={rendered[0]}, "
+            f"no_mitigation_top2={rendered[1]}, mitigation_pattern={rendered[2]}\n"
+        )
+        assert "n/a" not in err  # the missing devices are named under -v only
+
+
+def renamed_topology_doc(renames: dict) -> dict:
+    doc = json.loads(
+        (Path(cyberdep.__file__).parent / "data" / DEFAULT_TOPOLOGY_RESOURCE).read_text()
+    )
+    for device in doc["devices"]:
+        device["name"] = renames.get(device["name"], device["name"])
+    return doc
+
+
+def renamed_topology(renames: dict):
+    return load_topology(json.dumps(renamed_topology_doc(renames)).encode())
+
+
+SIGNATURE_DEVICES = {"load-5", "load-6", "gen-1"}
+
+
+def signature_device_names(path: Path) -> tuple[list[str], int]:
+    """Constants naming a signature device outside the table, and the count inside it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    in_table = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == "SIGNATURES" for t in targets):
+            in_table |= {id(child) for child in ast.walk(node)}
+    hits = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in SIGNATURE_DEVICES]
+    outside = [f"{path.name}:{n.lineno}: {n.value!r}" for n in hits if id(n) not in in_table]
+    return outside, len(hits) - len(outside)
+
+
+def test_signature_devices_named_only_in_the_table():
+    package = Path(cyberdep.__file__).parent
+    found = {path.name: signature_device_names(path) for path in package.glob("*.py")}
+    assert found["scenario.py"][1] == sum(len(ds) for tiers in SIGNATURES.values()
+                                          for _, ds in tiers), "the walker must see the table"
+    assert [hit for outside, _ in found.values() for hit in outside] == []
