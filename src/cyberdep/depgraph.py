@@ -22,6 +22,7 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import QueryError, ValidationError
@@ -79,20 +80,17 @@ def count_flows(
 def collapse_to_scada(counts: FlowCounts, topology: Topology) -> tuple[FlowCounts, int]:
     """Merge both directions of device<->SCADA traffic into one device->SCADA entry.
 
-    Entries not involving the SCADA master are dropped; their combined total
-    is returned alongside the collapsed counts.
+    Entries not involving the SCADA master, and traffic inside one device, are
+    dropped; their combined total is returned alongside the collapsed counts.
     """
     scada = topology.scada_master.name
     entries: dict[tuple[str, str], dict[Dnp3MessageType, int]] = {}
     dropped_total = 0
     for (src, dst), by_type in counts.entries.items():
-        if dst == scada:
-            device = src
-        elif src == scada:
-            device = dst
-        else:
+        if src == dst or scada not in (src, dst):  # one device's own traffic is no dependency
             dropped_total += sum(by_type.values())
             continue
+        device = src if dst == scada else dst
         tgt = entries.setdefault((device, scada), {})
         for mt, n in by_type.items():
             tgt[mt] = tgt.get(mt, 0) + n
@@ -138,7 +136,7 @@ class DgEdge:
         if self.count < 0:
             raise ValidationError(f"edge {self.source}->{self.sink}: negative count")
         canonical = {mt: int(self.by_type.get(mt, 0)) for mt in DNP3_SYSCALLS}
-        if any(n < 0 for n in canonical.values()):
+        if min(canonical.values()) < 0:
             raise ValidationError(f"edge {self.source}->{self.sink}: negative type count")
         object.__setattr__(self, "by_type", canonical)
 
@@ -165,8 +163,8 @@ class DependencyGraph:
     _in_edges: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        nodes = tuple(sorted(self.nodes, key=lambda n: n.name))
-        edges = tuple(sorted(self.edges, key=lambda e: e.key))
+        nodes = tuple(sorted(self.nodes, key=attrgetter("name")))
+        edges = tuple(sorted(self.edges, key=attrgetter("source", "sink")))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", edges)
 
@@ -176,59 +174,57 @@ class DependencyGraph:
                 raise ValidationError(f"duplicate node {n.name!r}")
             names.add(n.name)
 
-        by_key = {}
+        # One pass over the edges. Structure errors raise at once; the first edge to
+        # break each count rule is kept, so the rules below raise in a fixed order.
+        normalized = self.normalization is not Normalization.NONE
+        by_key, in_edges, sink_totals = {}, {}, {}
+        zero_mismatch = type_mismatch = None
         for e in edges:
-            if e.key in by_key:
+            key = (e.source, e.sink)
+            if key in by_key:
                 raise ValidationError(f"duplicate edge {e.source}->{e.sink}")
-            by_key[e.key] = e
-            for endpoint in e.key:
+            by_key[key] = e
+            for endpoint in key:
                 if endpoint not in names:
                     raise ValidationError(
-                        f"edge {e.source}->{e.sink} references undeclared node "
-                        f"{endpoint!r}"
+                        f"edge {e.source}->{e.sink} references undeclared node {endpoint!r}"
                     )
+            in_edges.setdefault(e.sink, []).append(e)
+            if normalized:
+                if zero_mismatch is None and (e.probability == 0.0) != (e.count == 0):
+                    zero_mismatch = e
+                if type_mismatch is None and e.count != sum(e.by_type.values()):
+                    type_mismatch = e
+                sink_totals[e.sink] = sink_totals.get(e.sink, 0) + e.count
 
         if self.grand_total < 0:
             raise ValidationError("grand_total must be >= 0")
-
-        if self.normalization is not Normalization.NONE:
-            for e in edges:
-                if (e.probability == 0.0) != (e.count == 0):
-                    raise ValidationError(
-                        f"edge {e.source}->{e.sink}: zero probability must "
-                        f"coincide with zero count"
-                    )
-        if self.normalization is Normalization.GLOBAL and edges:
-            total = math.fsum(e.probability for e in edges)
-            if abs(total - 1.0) > PROBABILITY_SUM_TOL:
+        if normalized:
+            if e := zero_mismatch:
                 raise ValidationError(
-                    f"global normalization violated: probabilities sum to {total!r}"
+                    f"edge {e.source}->{e.sink}: zero probability must coincide with zero count"
                 )
-        if self.normalization is Normalization.PER_SINK and edges:
-            per_sink: dict[str, list[float]] = defaultdict(list)
-            for e in edges:
-                per_sink[e.sink].append(e.probability)
-            for sink, probs in per_sink.items():
-                total = math.fsum(probs)
+            sink_shares = self.normalization is Normalization.PER_SINK
+            if not sink_shares and edges:
+                total = math.fsum(e.probability for e in edges)
+                if abs(total - 1.0) > PROBABILITY_SUM_TOL:
+                    raise ValidationError(
+                        f"global normalization violated: probabilities sum to {total!r}"
+                    )
+            for sink, group in in_edges.items() if sink_shares else ():
+                total = math.fsum(e.probability for e in group)
                 if abs(total - 1.0) > PROBABILITY_SUM_TOL:
                     raise ValidationError(
                         f"per-sink normalization violated at {sink!r}: sum {total!r}"
                     )
-        if self.normalization is not Normalization.NONE:
-            sink_totals: dict[str, int] = defaultdict(int)
-            for e in edges:
-                if e.count != sum(e.by_type.values()):
-                    raise ValidationError(
-                        f"edge {e.source}->{e.sink}: count {e.count} != by_type total "
-                        f"{sum(e.by_type.values())}"
-                    )
-                sink_totals[e.sink] += e.count
-            if self.grand_total != sum(sink_totals.values()):
+            if e := type_mismatch:
                 raise ValidationError(
-                    f"grand_total {self.grand_total} != edge count total "
-                    f"{sum(sink_totals.values())}"
+                    f"edge {e.source}->{e.sink}: count {e.count} != by_type total "
+                    f"{sum(e.by_type.values())}"
                 )
-            sink_shares = self.normalization is Normalization.PER_SINK
+            total = sum(sink_totals.values())
+            if self.grand_total != total:
+                raise ValidationError(f"grand_total {self.grand_total} != edge count total {total}")
             for e in edges:
                 share = e.count / (sink_totals[e.sink] if sink_shares else self.grand_total)
                 if abs(e.probability - share) > PROBABILITY_SUM_TOL:
@@ -237,12 +233,9 @@ class DependencyGraph:
                         f"!= count share {share!r}"
                     )
 
-        in_edges: dict[str, list[DgEdge]] = defaultdict(list)
-        for e in edges:
-            in_edges[e.sink].append(e)
         object.__setattr__(self, "_names", frozenset(names))
         object.__setattr__(self, "_by_key", by_key)
-        object.__setattr__(self, "_in_edges", dict(in_edges))
+        object.__setattr__(self, "_in_edges", in_edges)
 
     def has_node(self, name: str) -> bool:
         return name in self._names
@@ -284,22 +277,14 @@ def edge_probabilities(
     for (_, dst), by_type in counts.entries.items():
         sink_totals[dst] += sum(by_type.values())
 
-    names = sorted({name for pair in counts.entries for name in pair})
+    names = {name for pair in counts.entries for name in pair}  # the graph sorts them
     nodes = tuple(DgNode(name, roles.get(name, DeviceRole.OTHER)) for name in names)
 
     edges = []
     for (src, dst), by_type in counts.entries.items():
         total = sum(by_type.values())
         denominator = grand_total if normalization is Normalization.GLOBAL else sink_totals[dst]
-        edges.append(
-            DgEdge(
-                source=src,
-                sink=dst,
-                probability=total / denominator,
-                count=total,
-                by_type=dict(by_type),
-            )
-        )
+        edges.append(DgEdge(src, dst, total / denominator, total, by_type))  # copies by_type
     return DependencyGraph(nodes, tuple(edges), normalization, grand_total)
 
 

@@ -15,39 +15,42 @@ Graph JSON schema:
 
 import json
 import re
-import xml.etree.ElementTree as ET
 from typing import BinaryIO
 
 from .depgraph import DependencyGraph, DgEdge, DgNode, Normalization, format_probability
 from .errors import FormatError
 from .ingest import DNP3_SYSCALLS, is_number, parse_message_type, read_json
-from .topology import NON_XML_CHARS, DeviceRole
+from .topology import NON_XML_CHARS, DeviceRole, parse_role
 
 _BARE_DOT_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # DOT keywords are case-insensitive and must be quoted to be used as node ids.
 _DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "strict"})
 
+# Exports fill fixed templates, byte for byte what ``json.dumps(doc, indent=2)``
+# and an indented ElementTree write. Only names need escaping, once per node.
+_JSON_GRAPH = (
+    '{\n  "nodes": %s,\n  "edges": %s,\n  "normalization": "%s",\n  "grand_total": %r\n}\n'
+)
+_JSON_NODE = '    {\n      "name": %s,\n      "role": "%s"\n    }'
+_JSON_EDGE = (
+    '    {\n      "source": %s,\n      "sink": %s,\n      "probability": %r,\n'
+    '      "count": %r,\n      "by_type": {\n'
+    + ",\n".join(f'        "{mt.value}": %d' for mt in DNP3_SYSCALLS)
+    + "\n      }\n    }"
+)
 
-def graph_to_json_dict(graph: DependencyGraph) -> dict:
-    return {
-        "nodes": [{"name": n.name, "role": n.role.value} for n in graph.nodes],
-        "edges": [
-            {
-                "source": e.source,
-                "sink": e.sink,
-                "probability": e.probability,
-                "count": e.count,
-                "by_type": {mt.value: e.by_type[mt] for mt in DNP3_SYSCALLS},
-            }
-            for e in graph.edges
-        ],
-        "normalization": graph.normalization.value,
-        "grand_total": graph.grand_total,
-    }
+
+def _json_list(items: list) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 def graph_to_json_bytes(graph: DependencyGraph) -> bytes:
-    return (json.dumps(graph_to_json_dict(graph), indent=2) + "\n").encode("utf-8")
+    names = {n.name: json.dumps(n.name) for n in graph.nodes}
+    nodes = [_JSON_NODE % (names[n.name], n.role.value) for n in graph.nodes]
+    edges = [_JSON_EDGE % (names[e.source], names[e.sink], e.probability, e.count,
+                           *[e.by_type[mt] for mt in DNP3_SYSCALLS]) for e in graph.edges]
+    return (_JSON_GRAPH % (_json_list(nodes), _json_list(edges), graph.normalization.value,
+                           graph.grand_total)).encode("utf-8")
 
 
 def load_graph_json(stream: BinaryIO | bytes) -> DependencyGraph:
@@ -62,9 +65,8 @@ def load_graph_json(stream: BinaryIO | bytes) -> DependencyGraph:
     for i, entry in enumerate(doc["nodes"]):
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise FormatError(f"nodes[{i}] needs a string 'name'")
-        try:
-            role = DeviceRole(entry.get("role", "other"))
-        except ValueError:
+        role = parse_role(entry.get("role", "other"))
+        if role is None:
             raise FormatError(f"node {entry['name']!r}: unknown role {entry.get('role')!r}")
         nodes.append(DgNode(entry["name"], role))
 
@@ -113,48 +115,50 @@ def _dot_id(name: str) -> str:
 
 def graph_to_dot(graph: DependencyGraph) -> str:
     """Render DOT with probability-labeled edges; SCADA master drawn as a box."""
+    ids = {n.name: _dot_id(n.name) for n in graph.nodes}
     lines = ["digraph dependency_graph {"]
     for n in graph.nodes:
         shape = "box" if n.role is DeviceRole.SCADA_MASTER else "ellipse"
-        lines.append(f"  {_dot_id(n.name)} [shape={shape}];")
+        lines.append(f"  {ids[n.name]} [shape={shape}];")
     for e in graph.edges:
         label = format_probability(e.probability)
-        lines.append(f'  {_dot_id(e.source)} -> {_dot_id(e.sink)} [label="{label}"];')
+        lines.append(f'  {ids[e.source]} -> {ids[e.sink]} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-_GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
+_GRAPHML_HEAD = """<?xml version='1.0' encoding='UTF-8'?>
+<graphml xmlns="http://graphml.graphdrawing.org/xmlns">
+  <key id="role" for="node" attr.name="role" attr.type="string" />
+  <key id="probability" for="edge" attr.name="probability" attr.type="double" />
+  <key id="count" for="edge" attr.name="count" attr.type="long" />
+  <key id="label" for="edge" attr.name="label" attr.type="string" />
+  <graph id="dependency_graph" edgedefault="directed\""""
+_GRAPHML_NODE = '    <node id="%s">\n      <data key="role">%s</data>\n    </node>\n'
+_GRAPHML_EDGE = (
+    '    <edge source="%s" target="%s">\n      <data key="probability">%r</data>\n'
+    '      <data key="count">%s</data>\n      <data key="label">%s</data>\n    </edge>\n'
+)
+# ElementTree's attribute escapes; no other character in a name needs one.
+_XML_ATTRIBUTE = str.maketrans(
+    {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;", "\r": "&#13;", "\n": "&#10;",
+     "\t": "&#09;"}
+)
 
 
 def graph_to_graphml(graph: DependencyGraph) -> bytes:
     """Render GraphML carrying role, probability, count, and a display label."""
-    root = ET.Element("graphml", xmlns=_GRAPHML_NS)
-    for key_id, target, typ in (
-        ("role", "node", "string"),
-        ("probability", "edge", "double"),
-        ("count", "edge", "long"),
-        ("label", "edge", "string"),
-    ):
-        ET.SubElement(
-            root,
-            "key",
-            {"id": key_id, "for": target, "attr.name": key_id, "attr.type": typ},
-        )
-    g = ET.SubElement(root, "graph", id="dependency_graph", edgedefault="directed")
+    ids = {}
     for n in graph.nodes:
         # Graphs loaded from JSON never passed load_topology's name check.
         if not NON_XML_CHARS.isdisjoint(n.name):
             raise FormatError(f"node {n.name!r} holds a character XML cannot represent")
-        node_el = ET.SubElement(g, "node", id=n.name)
-        ET.SubElement(node_el, "data", key="role").text = n.role.value
-    for e in graph.edges:
-        edge_el = ET.SubElement(g, "edge", source=e.source, target=e.sink)
-        ET.SubElement(edge_el, "data", key="probability").text = repr(e.probability)
-        ET.SubElement(edge_el, "data", key="count").text = str(e.count)
-        ET.SubElement(edge_el, "data", key="label").text = format_probability(e.probability)
-    ET.indent(root, space="  ")
-    return ET.tostring(root, encoding="UTF-8", xml_declaration=True) + b"\n"
+        ids[n.name] = n.name.translate(_XML_ATTRIBUTE)
+    body = [_GRAPHML_NODE % (ids[n.name], n.role.value) for n in graph.nodes]
+    body += [_GRAPHML_EDGE % (ids[e.source], ids[e.sink], e.probability, e.count,
+                              format_probability(e.probability)) for e in graph.edges]
+    tail = ">\n" + "".join(body) + "  </graph>\n" if body else " />\n"
+    return (_GRAPHML_HEAD + tail + "</graphml>\n").encode("utf-8")
 
 
 FORMATS = ("json", "dot", "graphml")

@@ -35,6 +35,8 @@ class Dnp3MessageType(Enum):
     DIRECT_OPERATE = "direct_operate"
     OTHER = "other"
 
+    __hash__ = object.__hash__  # Enum.__hash__ is Python code; members compare by identity
+
 
 #: The four DNP3 function codes that survive filtering, in canonical order.
 DNP3_SYSCALLS = (

@@ -5,6 +5,7 @@ The topology is an explicit JSON document, never inferred from traffic:
     {"devices": [{"name": "<str>", "role": "scada|field|router|other",
                   "substation": "<str|absent>", "addrs": ["<ipv4>", ...]}]}
 
+A ``substation`` must be a string when present; it is checked, not kept.
 Keys other than these are ignored.
 
 A bundled fixture (``wscc9.topology.json``) models a 9-bus, three-substation
@@ -37,13 +38,22 @@ class DeviceRole(Enum):
     ROUTER = "router"
     OTHER = "other"
 
+    __hash__ = object.__hash__  # Enum.__hash__ is Python code; members compare by identity
+
+
+_ROLES = {role.value: role for role in DeviceRole}
+
+
+def parse_role(value) -> DeviceRole | None:
+    """The role a document value names, or None (a lookup; calling the Enum costs more)."""
+    return _ROLES.get(value) if isinstance(value, str) else None
+
 
 @dataclass(frozen=True)
 class Device:
     name: str
     role: DeviceRole
     addrs: frozenset[str]
-    substation: str | None = None
 
 
 @dataclass(frozen=True)
@@ -116,17 +126,16 @@ def load_topology(stream: BinaryIO | bytes) -> Topology:
             raise FormatError(f"devices[{i}] needs a non-empty 'name'")
         if not NON_XML_CHARS.isdisjoint(name):
             raise FormatError(f"device {name!r} holds a character XML cannot represent")
-        try:
-            role = DeviceRole(entry.get("role"))
-        except ValueError:
+        role = parse_role(entry.get("role"))
+        if role is None:
             raise FormatError(f"device {name!r} has unknown role {entry.get('role')!r}")
         addrs = entry.get("addrs", [])
         if not isinstance(addrs, list) or not all(isinstance(a, str) for a in addrs):
             raise FormatError(f"device {name!r}: 'addrs' must be a list of strings")
-        substation = entry.get("substation")
+        substation = entry.get("substation")  # documented, checked, not used
         if substation is not None and not isinstance(substation, str):
             raise FormatError(f"device {name!r}: 'substation' must be a string")
-        devices.append(Device(name, role, frozenset(addrs), substation))
+        devices.append(Device(name, role, frozenset(addrs)))
 
     return Topology(tuple(devices))
 

@@ -9,6 +9,7 @@ import io
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -193,6 +194,17 @@ class TestCollapseToScada:
         collapsed, dropped = collapse_to_scada(counts, topo)
         assert dropped == 5
         assert list(collapsed.entries) == [("dev-01", "scada")]
+
+    def test_drops_traffic_inside_one_device(self):
+        topo = make_topology(1)
+        counts = FlowCounts({
+            ("scada", "scada"): {READ: 2},
+            ("dev-01", "dev-01"): {RESPOND: 3},
+            ("scada", "dev-01"): {READ: 1},
+        })
+        collapsed, dropped = collapse_to_scada(counts, topo)
+        assert dropped == 5
+        assert collapsed.entries == {("dev-01", "scada"): {READ: 1}}
 
 
 # -- normalization -----------------------------------------------------------
@@ -382,6 +394,32 @@ class TestGraphValidation:
     def test_parents_sorted_by_source(self, sample_graph):
         assert [e.source for e in sample_graph.parents_of("F4")] == ["P1", "P9"]
 
+    @pytest.mark.parametrize("normalization, edges, grand_total, message", [
+        (Normalization.NONE, [("a", "s", 0.1), ("a", "s", 0.2)], 0, "duplicate edge a->s"),
+        (Normalization.NONE, [("a", "ghost", 1.0)], 0,
+         "edge a->ghost references undeclared node 'ghost'"),
+        (Normalization.NONE, [], -1, "grand_total must be >= 0"),
+        (Normalization.GLOBAL, [("a", "s", 0.0, 2), ("b", "s", 1.0, 0)], 2,
+         "edge a->s: zero probability must coincide with zero count"),
+        (Normalization.GLOBAL, [("a", "s", 0.5, 1), ("b", "s", 0.6, 1)], 2,
+         "global normalization violated: probabilities sum to 1.1"),
+        (Normalization.PER_SINK, [("a", "s", 1.0, 1), ("a", "t", 0.5, 1), ("b", "t", 0.4, 1)],
+         3, "per-sink normalization violated at 't': sum 0.9"),
+        (Normalization.GLOBAL, [("a", "s", 1.0, 5, 4)], 5, "edge a->s: count 5 != by_type total 4"),
+        (Normalization.GLOBAL, [("a", "s", 1.0, 5)], 3, "grand_total 3 != edge count total 5"),
+        (Normalization.PER_SINK, [("a", "s", 0.5, 1), ("b", "s", 0.5, 3)], 4,
+         "edge a->s: probability 0.5 != count share 0.25"),
+        (Normalization.GLOBAL, [("a", "s", 0.5, 1), ("b", "s", 0.5, 3)], 4,
+         "edge a->s: probability 0.5 != count share 0.25"),
+    ])
+    def test_each_rule_names_its_breach(self, normalization, edges, grand_total, message):
+        def edge(src, dst, p, count=0, typed=None):
+            return DgEdge(src, dst, p, count, {READ: count if typed is None else typed})
+
+        nodes = tuple(DgNode(n) for n in "abst")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            DependencyGraph(nodes, tuple(edge(*e) for e in edges), normalization, grand_total)
+
 
 # -- query -------------------------------------------------------------------
 
@@ -468,10 +506,7 @@ class TestBuildGraph:
         (False, {("scada", "dev-01"), ("dev-01", "scada")}),
     ])
     def test_intra_device_traffic_dropped(self, collapse, edges):
-        topo = Topology((
-            Device("scada", DeviceRole.SCADA_MASTER, frozenset({"10.9.0.1", "10.9.0.2"})),
-            Device("dev-01", DeviceRole.FIELD_DEVICE, frozenset({"10.9.1.1", "10.9.1.2"})),
-        ))
+        topo = intra_device_topology()
         data = jsonl_bytes(INTRA_DEVICE_ROWS)
         window = parse_packet_log(data)
         for result in (build_graph(window, topo, GraphOptions(collapse)),
@@ -480,6 +515,25 @@ class TestBuildGraph:
             assert result.graph.grand_total == 4
             assert result.scada_dropped == 3  # mapped 7 = grand_total 4 + dropped 3
             assert result.unmapped.records == 0
+
+    def test_stage_chain_drops_intra_device_traffic(self):
+        # The README's "same graph, stage by stage" chain on the same capture.
+        topo = intra_device_topology()
+        window = parse_packet_log(jsonl_bytes(INTRA_DEVICE_ROWS))
+        mapped, unmapped = map_window(topo, filter_dnp3(window))
+        counts, scada_dropped = collapse_to_scada(count_flows(mapped), topo)
+        result = build_graph(window, topo)
+        assert edge_probabilities(counts, roles=topo.roles()) == result.graph
+        assert scada_dropped == result.scada_dropped == 3
+        assert unmapped.records == 0
+
+
+def intra_device_topology() -> Topology:
+    """scada on 10.9.0.1-2 and dev-01 on 10.9.1.1-2, as INTRA_DEVICE_ROWS expects."""
+    return Topology((
+        Device("scada", DeviceRole.SCADA_MASTER, frozenset({"10.9.0.1", "10.9.0.2"})),
+        Device("dev-01", DeviceRole.FIELD_DEVICE, frozenset({"10.9.1.1", "10.9.1.2"})),
+    ))
 
 
 # -- streamed build ----------------------------------------------------------

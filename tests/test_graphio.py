@@ -1,12 +1,17 @@
 """Graph serialization: JSON round-trip, DOT text, GraphML structure, determinism."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cyberdep
 from cyberdep.depgraph import (
     DependencyGraph,
     DgEdge,
@@ -16,17 +21,16 @@ from cyberdep.depgraph import (
     edge_probabilities,
 )
 from cyberdep.errors import FormatError, ValidationError
-from cyberdep.ingest import Dnp3MessageType
+from cyberdep.ingest import DNP3_SYSCALLS, Dnp3MessageType
 from cyberdep.graphio import (
     FORMATS,
     graph_to_dot,
     graph_to_graphml,
     graph_to_json_bytes,
-    graph_to_json_dict,
     load_graph_json,
     render_graph,
 )
-from cyberdep.topology import DeviceRole
+from cyberdep.topology import NON_XML_CHARS, DeviceRole
 
 
 @pytest.fixture
@@ -43,7 +47,7 @@ def traffic_graph():
 
 class TestJson:
     def test_dict_shape(self, traffic_graph):
-        doc = graph_to_json_dict(traffic_graph)
+        doc = json.loads(graph_to_json_bytes(traffic_graph))
         assert set(doc) == {"nodes", "edges", "normalization", "grand_total"}
         assert doc["normalization"] == "global"
         assert doc["grand_total"] == 100
@@ -96,6 +100,7 @@ class TestJson:
                          "by_type": {"cold_restart": 1}}]}, "message type"),
             ({"nodes": [], "edges": [], "normalization": "sideways"}, "normalization"),
             ({"nodes": [], "edges": [], "grand_total": "many"}, "grand_total"),
+            ({"nodes": [{"name": "a", "role": ["field"]}], "edges": []}, "unknown role"),
         ],
     )
     def test_malformed_documents(self, doc, match):
@@ -229,6 +234,127 @@ def test_graphml_round_trips_names_or_rejects_them(names):
     endpoints = [(e.get("source"), e.get("target")) for e in graph_el.findall("g:edge", ns)]
     assert node_ids == [n.name for n in graph.nodes]
     assert endpoints == [e.key for e in graph.edges]
+
+
+# The renderers graphio used before its templates, kept as byte-level oracles.
+def oracle_json(graph: DependencyGraph) -> bytes:
+    doc = {
+        "nodes": [{"name": n.name, "role": n.role.value} for n in graph.nodes],
+        "edges": [
+            {
+                "source": e.source,
+                "sink": e.sink,
+                "probability": e.probability,
+                "count": e.count,
+                "by_type": {mt.value: e.by_type[mt] for mt in DNP3_SYSCALLS},
+            }
+            for e in graph.edges
+        ],
+        "normalization": graph.normalization.value,
+        "grand_total": graph.grand_total,
+    }
+    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
+
+
+def oracle_graphml(graph: DependencyGraph) -> bytes:
+    root = ET.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
+    for key_id, target, typ in (
+        ("role", "node", "string"),
+        ("probability", "edge", "double"),
+        ("count", "edge", "long"),
+        ("label", "edge", "string"),
+    ):
+        ET.SubElement(
+            root, "key", {"id": key_id, "for": target, "attr.name": key_id, "attr.type": typ}
+        )
+    g = ET.SubElement(root, "graph", id="dependency_graph", edgedefault="directed")
+    for n in graph.nodes:
+        if not NON_XML_CHARS.isdisjoint(n.name):
+            raise FormatError(f"node {n.name!r} holds a character XML cannot represent")
+        node_el = ET.SubElement(g, "node", id=n.name)
+        ET.SubElement(node_el, "data", key="role").text = n.role.value
+    for e in graph.edges:
+        edge_el = ET.SubElement(g, "edge", source=e.source, target=e.sink)
+        ET.SubElement(edge_el, "data", key="probability").text = repr(e.probability)
+        ET.SubElement(edge_el, "data", key="count").text = str(e.count)
+        ET.SubElement(edge_el, "data", key="label").text = f"{e.probability:.2f}"
+    ET.indent(root, space="  ")
+    return ET.tostring(root, encoding="UTF-8", xml_declaration=True) + b"\n"
+
+
+oracle_names = st.text(
+    st.one_of(
+        st.characters(),
+        st.sampled_from(list('"&<>\r\n\t\\') + ["\u00e9", "\u4e2d", "\U0001d11e", "\ud800"]),
+    ),
+    max_size=6,
+)
+tiny_probabilities = st.sampled_from([0.0, 5e-324, 1e-17, 1e-9, 1 / 3, 0.5, 1.0])
+by_type_counts = st.lists(st.integers(0, 10**17), min_size=4, max_size=4).map(
+    lambda ns: dict(zip(DNP3_SYSCALLS, ns))
+)
+
+
+@st.composite
+def oracle_graphs(draw):
+    """Any valid graph: every normalization, no edges or no nodes allowed."""
+    names = draw(st.lists(oracle_names, max_size=6, unique=True))
+    nodes = [DgNode(n, draw(st.sampled_from(DeviceRole))) for n in names]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names))
+                          .filter(lambda p: p[0] != p[1]), max_size=8, unique=True)
+                 if len(names) > 1 else st.just([]))
+    normalization = draw(st.sampled_from(Normalization))
+    if normalization is Normalization.NONE:
+        edges = [DgEdge(src, dst, draw(st.one_of(tiny_probabilities, st.floats(0, 1))),
+                        draw(st.integers(0, 10**20)), draw(by_type_counts))
+                 for src, dst in pairs]
+        return DependencyGraph(tuple(nodes), tuple(edges), normalization,
+                               draw(st.integers(0, 10**20)))
+    counts = {pair: draw(by_type_counts.filter(lambda t: sum(t.values()))) for pair in pairs}
+    built = edge_probabilities(FlowCounts(counts), normalization)
+    return DependencyGraph(tuple(nodes), built.edges, normalization, built.grand_total)
+
+
+def render_or_error(render, graph):
+    try:
+        return render(graph)
+    except FormatError as exc:
+        return str(exc)
+
+
+@given(oracle_graphs())
+@settings(max_examples=400, deadline=None)
+def test_templates_match_the_encoder_renderers(graph):
+    assert graph_to_json_bytes(graph) == oracle_json(graph)
+    assert render_or_error(graph_to_graphml, graph) == render_or_error(oracle_graphml, graph)
+
+
+@pytest.mark.parametrize("p", [5e-324, 1e-17])
+@pytest.mark.parametrize("fmt", ["json", "graphml"])
+def test_templates_match_at_tiny_probabilities(p, fmt):
+    graph = DependencyGraph((DgNode('a&"<>\r\n\t\\\u00e9\U0001d11e'), DgNode("b")),
+                            (DgEdge('a&"<>\r\n\t\\\u00e9\U0001d11e', "b", p, 3),))
+    oracle = oracle_json if fmt == "json" else oracle_graphml
+    assert render_graph(graph, fmt) == oracle(graph)
+
+
+@pytest.mark.parametrize("graph", [
+    DependencyGraph((), (), Normalization.GLOBAL),
+    DependencyGraph((DgNode("a"), DgNode("b", DeviceRole.SCADA_MASTER)), (),
+                    Normalization.PER_SINK),
+])
+def test_templates_match_without_edges(graph):
+    assert graph_to_json_bytes(graph) == oracle_json(graph)
+    assert graph_to_graphml(graph) == oracle_graphml(graph)
+
+
+def test_cli_import_loads_no_xml_library():
+    env = {**os.environ, "PYTHONPATH": str(Path(cyberdep.__file__).parents[1])}
+    code = ("import sys, cyberdep.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'xml'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out == "[]\n"
 
 
 DOT_ID = r'[A-Za-z_][A-Za-z0-9_]*|"(?:[^"\\]|\\.)*"'

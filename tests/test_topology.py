@@ -39,7 +39,6 @@ class TestLoadTopology:
         fields = [n for n, r in roles.items() if r is DeviceRole.FIELD_DEVICE]
         assert sorted(fields) == ["gen-1", "gen-2", "gen-3", "load-5", "load-6", "load-8"]
         assert sum(1 for r in roles.values() if r is DeviceRole.ROUTER) == 4
-        assert topo.device("gen-1").substation == "substation-b"
 
     def test_minimal_document(self):
         topo = load_topology(topo_doc([SCADA]))
@@ -53,11 +52,25 @@ class TestLoadTopology:
         assert not hasattr(topo, "label")
 
     def test_substation_optional(self):
-        doc = topo_doc([SCADA, {"name": "g", "role": "field", "addrs": ["10.0.0.11"],
-                                "substation": "sub-a"}])
-        topo = load_topology(doc)
-        assert topo.device("g").substation == "sub-a"
-        assert topo.device("master").substation is None
+        # A string or null substation loads; the device does not keep it.
+        g = {"name": "g", "role": "field", "addrs": ["10.0.0.11"], "substation": "sub-a"}
+        h = {"name": "h", "role": "field", "addrs": ["10.0.0.12"], "substation": None}
+        topo = load_topology(topo_doc([SCADA, g, h]))
+        assert topo.device("g") == Device("g", DeviceRole.FIELD_DEVICE, frozenset({"10.0.0.11"}))
+        assert topo.device("h") == Device("h", DeviceRole.FIELD_DEVICE, frozenset({"10.0.0.12"}))
+        assert not hasattr(topo.device("master"), "substation")
+
+    @pytest.mark.parametrize("substation", [3, ["sub-a"], {"id": "a"}, True, 1.5])
+    def test_non_string_substation_rejected(self, substation):
+        doc = topo_doc([{"name": "x", "role": "scada", "addrs": [], "substation": substation}])
+        with pytest.raises(FormatError, match=r"^device 'x': 'substation' must be a string$"):
+            load_topology(doc)
+
+    @pytest.mark.parametrize("role", [None, 1, True, ["scada"], {"scada": 1}, "SCADA", "master"])
+    def test_role_must_name_a_role(self, role):
+        doc = topo_doc([{"name": "x", "role": role, "addrs": []}])
+        with pytest.raises(FormatError, match=re.escape(f"device 'x' has unknown role {role!r}")):
+            load_topology(doc)
 
     @pytest.mark.parametrize(
         "payload,match",
