@@ -6,7 +6,6 @@ The parsed argparse namespace is the run configuration.
 """
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -137,7 +136,7 @@ def cmd_synth(args) -> int:
                 f"profile {args.profile!r} is neither a built-in "
                 f"({', '.join(synth.BUILTIN_PROFILES)}) nor a file"
             )
-        profile = dataclasses.replace(synth.load_profile(path.read_bytes()), **overrides)
+        profile = synth.load_profile(path.read_bytes()).replace(**overrides)
     payload = synth.generate(profile, topo)
     _write_output(args.out, payload)
     _diag(

@@ -20,14 +20,15 @@ were supplied directly and no sum constraint is enforced.
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import QueryError, ValidationError
 from .ingest import DNP3_SYSCALLS, CaptureWindow, Dnp3MessageType, IngestStats, RejectedLine
 from .ingest import scan_packet_log
+from .record import Record, store
 from .topology import DeviceRole, Topology, UnmappedReport
 
 PROBABILITY_SUM_TOL = 1e-9
@@ -51,12 +52,16 @@ def format_probability(p: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class FlowCounts:
     """Per (source device, sink device) message counts with a per-type breakdown."""
 
-    entries: dict[tuple[str, str], dict[Dnp3MessageType, int]]
-    window_label: str = ""
+    __slots__ = ("entries", "window_label")
+
+    def __init__(
+        self, entries: dict[tuple[str, str], dict[Dnp3MessageType, int]], window_label: str = ""
+    ):
+        self.entries = entries
+        self.window_label = window_label
 
     def entry_total(self, pair: tuple[str, str]) -> int:
         return sum(self.entries[pair].values())
@@ -102,51 +107,80 @@ def collapse_to_scada(counts: FlowCounts, topology: Topology) -> tuple[FlowCount
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DgNode:
+class DgNode(Record):
     """A device node; modeled as a binary random variable."""
 
-    name: str
-    role: DeviceRole = DeviceRole.OTHER
+    __slots__ = ("name", "role")
+
+    def __init__(self, name: str, role: DeviceRole = DeviceRole.OTHER):
+        store(self, "name", name)
+        store(self, "role", role)
 
 
-@dataclass(frozen=True, eq=True)
-class DgEdge:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_RLS, _READ, _RESPOND, _OPERATE = DNP3_SYSCALLS
+_NO_TYPES: Mapping[Dnp3MessageType, int] = MappingProxyType({})  # read, never stored
+
+
+class DgEdge(Record):
     """Directed dependency source -> sink with its probability weight.
 
     ``by_type`` is the security context: the per-message-type count breakdown
     behind this edge. It is normalized to always carry the four modeled
-    function codes.
+    function codes. The hash ignores it; equality does not.
     """
 
-    source: str
-    sink: str
-    probability: float
-    count: int = 0
-    by_type: dict = field(default_factory=dict, hash=False)
+    __slots__ = ("source", "sink", "probability", "count", "by_type")
 
-    def __post_init__(self):
-        if self.source == self.sink:
-            raise ValidationError(f"self-edge not allowed: {self.source!r}")
-        if not (0.0 <= self.probability <= 1.0):
+    def __init__(
+        self, source: str, sink: str, probability: float, count: int = 0,
+        by_type: Mapping[Dnp3MessageType, int] = _NO_TYPES,
+    ):
+        if source == sink:
+            raise ValidationError(f"self-edge not allowed: {source!r}")
+        # Exact types first: the isinstance checks are the slow path.
+        if type(probability) is not float and not (
+            _is_int(probability) or isinstance(probability, float)
+        ):
             raise ValidationError(
-                f"edge {self.source}->{self.sink}: probability "
-                f"{self.probability!r} outside [0, 1]"
+                f"edge {source}->{sink}: probability must be a number, got {probability!r}"
             )
-        if self.count < 0:
-            raise ValidationError(f"edge {self.source}->{self.sink}: negative count")
-        canonical = {mt: int(self.by_type.get(mt, 0)) for mt in DNP3_SYSCALLS}
+        if not (0.0 <= probability <= 1.0):
+            raise ValidationError(
+                f"edge {source}->{sink}: probability {probability!r} outside [0, 1]"
+            )
+        if type(count) is not int and not _is_int(count):
+            raise ValidationError(f"edge {source}->{sink}: count must be an integer, got {count!r}")
+        if count < 0:
+            raise ValidationError(f"edge {source}->{sink}: negative count")
+        get = by_type.get
+        canonical = {_RLS: get(_RLS, 0), _READ: get(_READ, 0), _RESPOND: get(_RESPOND, 0),
+                     _OPERATE: get(_OPERATE, 0)}
+        for mt, n in canonical.items():
+            if type(n) is not int and not _is_int(n):
+                raise ValidationError(
+                    f"edge {source}->{sink}: by_type[{mt.value!r}] must be an integer, got {n!r}"
+                )
         if min(canonical.values()) < 0:
-            raise ValidationError(f"edge {self.source}->{self.sink}: negative type count")
-        object.__setattr__(self, "by_type", canonical)
+            raise ValidationError(f"edge {source}->{sink}: negative type count")
+        store(self, "source", source)
+        store(self, "sink", sink)
+        store(self, "probability", float(probability))
+        store(self, "count", count)
+        store(self, "by_type", canonical)
+
+    def __hash__(self):
+        return hash((self.source, self.sink, self.probability, self.count))
 
     @property
     def key(self) -> tuple[str, str]:
         return (self.source, self.sink)
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
+class DependencyGraph(Record):
     """Immutable probability-weighted digraph over device nodes.
 
     Nodes and edges are stored sorted (by name, by (source, sink)) so every
@@ -154,19 +188,15 @@ class DependencyGraph:
     normalization the edge probabilities of a nonempty graph sum to 1.
     """
 
-    nodes: tuple[DgNode, ...]
-    edges: tuple[DgEdge, ...]
-    normalization: Normalization = Normalization.NONE
-    grand_total: int = 0
-    _names: frozenset = field(init=False, repr=False, compare=False, default=frozenset())
-    _by_key: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _in_edges: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    __slots__ = ("nodes", "edges", "normalization", "grand_total", "_names", "_by_key",
+                 "_in_edges")
 
-    def __post_init__(self):
-        nodes = tuple(sorted(self.nodes, key=attrgetter("name")))
-        edges = tuple(sorted(self.edges, key=attrgetter("source", "sink")))
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edges)
+    def __init__(
+        self, nodes: Iterable[DgNode], edges: Iterable[DgEdge],
+        normalization: Normalization = Normalization.NONE, grand_total: int = 0,
+    ):
+        nodes = tuple(sorted(nodes, key=attrgetter("name")))
+        edges = tuple(sorted(edges, key=attrgetter("source", "sink")))
 
         names = set()
         for n in nodes:
@@ -176,7 +206,7 @@ class DependencyGraph:
 
         # One pass over the edges. Structure errors raise at once; the first edge to
         # break each count rule is kept, so the rules below raise in a fixed order.
-        normalized = self.normalization is not Normalization.NONE
+        normalized = normalization is not Normalization.NONE
         by_key, in_edges, sink_totals = {}, {}, {}
         zero_mismatch = type_mismatch = None
         for e in edges:
@@ -197,14 +227,14 @@ class DependencyGraph:
                     type_mismatch = e
                 sink_totals[e.sink] = sink_totals.get(e.sink, 0) + e.count
 
-        if self.grand_total < 0:
+        if grand_total < 0:
             raise ValidationError("grand_total must be >= 0")
         if normalized:
             if e := zero_mismatch:
                 raise ValidationError(
                     f"edge {e.source}->{e.sink}: zero probability must coincide with zero count"
                 )
-            sink_shares = self.normalization is Normalization.PER_SINK
+            sink_shares = normalization is Normalization.PER_SINK
             if not sink_shares and edges:
                 total = math.fsum(e.probability for e in edges)
                 if abs(total - 1.0) > PROBABILITY_SUM_TOL:
@@ -223,19 +253,23 @@ class DependencyGraph:
                     f"{sum(e.by_type.values())}"
                 )
             total = sum(sink_totals.values())
-            if self.grand_total != total:
-                raise ValidationError(f"grand_total {self.grand_total} != edge count total {total}")
+            if grand_total != total:
+                raise ValidationError(f"grand_total {grand_total} != edge count total {total}")
             for e in edges:
-                share = e.count / (sink_totals[e.sink] if sink_shares else self.grand_total)
+                share = e.count / (sink_totals[e.sink] if sink_shares else grand_total)
                 if abs(e.probability - share) > PROBABILITY_SUM_TOL:
                     raise ValidationError(
                         f"edge {e.source}->{e.sink}: probability {e.probability!r} "
                         f"!= count share {share!r}"
                     )
 
-        object.__setattr__(self, "_names", frozenset(names))
-        object.__setattr__(self, "_by_key", by_key)
-        object.__setattr__(self, "_in_edges", in_edges)
+        store(self, "nodes", nodes)
+        store(self, "edges", edges)
+        store(self, "normalization", normalization)
+        store(self, "grand_total", grand_total)
+        store(self, "_names", frozenset(names))
+        store(self, "_by_key", by_key)
+        store(self, "_in_edges", in_edges)
 
     def has_node(self, name: str) -> bool:
         return name in self._names
@@ -310,16 +344,18 @@ def noisy_or(parent_probs: Sequence[float], active: Sequence[int | bool]) -> flo
     return 0.0 - math.expm1(math.fsum(math.log1p(-p) for p in live))
 
 
-@dataclass(frozen=True)
-class ConditionalQuery:
+class ConditionalQuery(Record):
     """Probability query for one target node given active-parent evidence.
 
     ``evidence`` maps parent node names to active flags; parents absent from
     the map are treated as inactive.
     """
 
-    target: str
-    evidence: Mapping[str, bool] = field(default_factory=dict)
+    __slots__ = ("target", "evidence")
+
+    def __init__(self, target: str, evidence: Mapping[str, bool] | None = None):
+        store(self, "target", target)
+        store(self, "evidence", {} if evidence is None else evidence)
 
 
 def query(graph: DependencyGraph, q: ConditionalQuery) -> float:
@@ -341,8 +377,7 @@ def query(graph: DependencyGraph, q: ConditionalQuery) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphOptions:
+class GraphOptions(NamedTuple):
     scada_collapse: bool = True
     normalization: Normalization = Normalization.GLOBAL
 

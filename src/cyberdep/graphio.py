@@ -19,7 +19,7 @@ from typing import BinaryIO
 
 from .depgraph import DependencyGraph, DgEdge, DgNode, Normalization, format_probability
 from .errors import FormatError
-from .ingest import DNP3_SYSCALLS, is_number, parse_message_type, read_json
+from .ingest import DNP3_SYSCALLS, is_number, read_json
 from .topology import NON_XML_CHARS, DeviceRole, parse_role
 
 _BARE_DOT_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -51,6 +51,9 @@ def graph_to_json_bytes(graph: DependencyGraph) -> bytes:
                            *[e.by_type[mt] for mt in DNP3_SYSCALLS]) for e in graph.edges]
     return (_JSON_GRAPH % (_json_list(nodes), _json_list(edges), graph.normalization.value,
                            graph.grand_total)).encode("utf-8")
+
+
+_MODELED_TYPES = {mt.value: mt for mt in DNP3_SYSCALLS}
 
 
 def load_graph_json(stream: BinaryIO | bytes) -> DependencyGraph:
@@ -88,8 +91,8 @@ def load_graph_json(stream: BinaryIO | bytes) -> DependencyGraph:
             raise FormatError(f"edges[{i}]: 'by_type' must be an object")
         by_type = {}
         for name, n in raw_types.items():
-            mt = parse_message_type(name)
-            if mt not in DNP3_SYSCALLS:
+            mt = _MODELED_TYPES.get(name)
+            if mt is None:
                 raise FormatError(f"edges[{i}]: unknown message type {name!r}")
             if not isinstance(n, int) or isinstance(n, bool):
                 raise FormatError(f"edges[{i}]: by_type[{name!r}] must be an integer")

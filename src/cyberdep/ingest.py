@@ -21,9 +21,8 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass, replace
 from enum import Enum
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 from .errors import FormatError
 
@@ -97,8 +96,7 @@ def parse_message_type(value: str) -> Dnp3MessageType:
     return _MESSAGE_TYPES.get(value, Dnp3MessageType.OTHER)
 
 
-@dataclass(frozen=True)
-class PacketRecord:
+class PacketRecord(NamedTuple):
     """One timestamped protocol message between two endpoints."""
 
     ts_us: int
@@ -107,22 +105,19 @@ class PacketRecord:
     message_type: Dnp3MessageType
 
 
-@dataclass(frozen=True)
-class IngestStats:
+class IngestStats(NamedTuple):
     total: int = 0
     parsed: int = 0
     rejected: int = 0
     filtered_out: int = 0
 
 
-@dataclass(frozen=True)
-class RejectedLine:
+class RejectedLine(NamedTuple):
     line_no: int
     reason: str
 
 
-@dataclass(frozen=True)
-class CaptureWindow:
+class CaptureWindow(NamedTuple):
     """An immutable, time-ordered batch of packet records plus ingest accounting."""
 
     records: tuple[PacketRecord, ...]
@@ -242,8 +237,8 @@ def filter_dnp3(window: CaptureWindow) -> CaptureWindow:
     """
     keep = tuple(r for r in window.records if r.message_type in DNP3_SYSCALLS)
     dropped = len(window.records) - len(keep)
-    stats = replace(window.stats, filtered_out=window.stats.filtered_out + dropped)
-    return replace(window, records=keep, stats=stats)
+    stats = window.stats._replace(filtered_out=window.stats.filtered_out + dropped)
+    return window._replace(records=keep, stats=stats)
 
 
 def export_csv(window: CaptureWindow, out: BinaryIO) -> int:

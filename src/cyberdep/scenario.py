@@ -8,12 +8,12 @@ the four disturbance scenarios are expected to show.
 """
 
 import sys
-from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .depgraph import DependencyGraph, DgEdge, format_probability
 from .errors import ValidationError
+from .record import Record, store
 from .topology import Topology, default_topology
 
 
@@ -27,16 +27,18 @@ class ScenarioKind(Enum):
 _SCENARIO_ORDER = {kind: i for i, kind in enumerate(ScenarioKind)}
 
 
-@dataclass(frozen=True)
-class ScenarioRun:
-    scenario: ScenarioKind
-    run_id: int
-    capture_ref: str
-    graph: DependencyGraph
+class ScenarioRun(Record):
+    __slots__ = ("scenario", "run_id", "capture_ref", "graph")
 
-    def __post_init__(self):
-        if self.run_id < 1:
-            raise ValidationError(f"run_id must be positive, got {self.run_id}")
+    def __init__(
+        self, scenario: ScenarioKind, run_id: int, capture_ref: str, graph: DependencyGraph
+    ):
+        if run_id < 1:
+            raise ValidationError(f"run_id must be positive, got {run_id}")
+        store(self, "scenario", scenario)
+        store(self, "run_id", run_id)
+        store(self, "capture_ref", capture_ref)
+        store(self, "graph", graph)
 
     @property
     def key(self) -> tuple[ScenarioKind, int]:
@@ -77,8 +79,7 @@ def is_tolerance(value: float) -> bool:
     return 0 <= value <= sys.float_info.max
 
 
-@dataclass(frozen=True)
-class ScenarioFlags:
+class ScenarioFlags(NamedTuple):
     """One flag per scenario, in ``ScenarioKind`` order: does every run of it
     show that scenario's ``SIGNATURES`` entry?
 
@@ -94,23 +95,21 @@ class ScenarioFlags:
     mitigation_pattern: bool | None = None
 
 
-@dataclass(frozen=True)
-class RunDeltas:
+class RunDeltas(NamedTuple):
     scenario: ScenarioKind
     run_id: int
     #: (source, sink) -> probability delta vs reference, over the edge union.
-    deltas: dict = field(default_factory=dict)
+    deltas: dict
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     runs: tuple[ScenarioRun, ...]
     reference: tuple[ScenarioKind, int]
-    rankings: dict = field(default_factory=dict)  # run key -> list[DgEdge]
-    deltas: tuple[RunDeltas, ...] = ()
-    flags: ScenarioFlags = ScenarioFlags()
+    rankings: dict  # run key -> list[DgEdge]
+    deltas: tuple[RunDeltas, ...]
+    flags: ScenarioFlags
     #: flag name -> signature devices the topology lacks, for flags left None.
-    unchecked: dict = field(default_factory=dict)
+    unchecked: dict
 
     def to_json_dict(self) -> dict:
         return {
@@ -139,7 +138,7 @@ class ComparisonReport:
                 }
                 for rd in self.deltas
             ],
-            "flags": asdict(self.flags),
+            "flags": self.flags._asdict(),
         }
 
     def to_text(self) -> str:
@@ -160,7 +159,7 @@ class ComparisonReport:
                     lines.append(f"    {src} -> {sink}  {delta:+.4f}")
         rendered = ", ".join(
             f"{name}={'n/a' if value is None else str(value).lower()}"
-            for name, value in asdict(self.flags).items()
+            for name, value in self.flags._asdict().items()
         )
         lines.append(f"flags: {rendered}")
         return "\n".join(lines) + "\n"
@@ -230,7 +229,7 @@ def compare(
     topology = topology or default_topology()
     master = topology.scada_master.name
     flags, unchecked = {}, {}
-    for kind, flag in zip(ScenarioKind, (f.name for f in fields(ScenarioFlags))):
+    for kind, flag in zip(ScenarioKind, ScenarioFlags._fields):
         kind_runs = [run for run in ordered if run.scenario is kind]
         tiers = SIGNATURES[kind]
         missing = sorted({d for _, ds in tiers for d in ds if topology.device(d) is None})

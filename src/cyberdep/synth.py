@@ -20,11 +20,11 @@ import itertools
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from typing import BinaryIO
 
 from .errors import FormatError, ValidationError
 from .ingest import DNP3_SYSCALLS, Dnp3MessageType, is_number, parse_message_type, read_json
+from .record import Record, store
 from .scenario import SIGNATURES, ScenarioKind
 from .topology import DeviceRole, Topology
 
@@ -43,41 +43,51 @@ DEFAULT_MESSAGE_MIX = {
 }
 
 
-@dataclass(frozen=True)
-class TrafficProfile:
-    """Generative description of one scenario's traffic shape."""
+class TrafficProfile(Record):
+    """Generative description of one scenario's traffic shape.
 
-    scenario: ScenarioKind
-    weights: dict  # device name -> nonnegative rate weight
-    message_mix: dict = field(default_factory=lambda: dict(DEFAULT_MESSAGE_MIX))
-    n_messages: int = DEFAULT_N_MESSAGES
-    seed: int = DEFAULT_SEED
-    noise_fraction: float = 0.0
+    ``weights`` maps device names to nonnegative rate weights; ``message_mix``
+    defaults to a copy of ``DEFAULT_MESSAGE_MIX``.
+    """
 
-    def __post_init__(self):
-        if not self.weights:
+    __slots__ = ("scenario", "weights", "message_mix", "n_messages", "seed", "noise_fraction")
+
+    def __init__(
+        self, scenario: ScenarioKind, weights: dict, message_mix: dict | None = None,
+        n_messages: int = DEFAULT_N_MESSAGES, seed: int = DEFAULT_SEED,
+        noise_fraction: float = 0.0,
+    ):
+        if message_mix is None:
+            message_mix = dict(DEFAULT_MESSAGE_MIX)
+        if not weights:
             raise ValidationError("profile needs at least one weighted device")
-        for name, w in self.weights.items():
+        for name, w in weights.items():
             if not 0 <= w < math.inf:
                 kind = "negative" if w < 0 else "non-finite"
                 raise ValidationError(f"{kind} weight for {name!r}")
-        if not any(w > 0 for w in self.weights.values()):
+        if not any(w > 0 for w in weights.values()):
             raise ValidationError("profile weights must not all be zero")
         try:
-            math.fsum(self.weights.values())  # generate() scales draws by it
+            math.fsum(weights.values())  # generate() scales draws by it
         except OverflowError:
             raise ValidationError("profile weights sum past the largest float")
-        if set(self.message_mix) - set(DNP3_SYSCALLS):
+        if set(message_mix) - set(DNP3_SYSCALLS):
             raise ValidationError("message mix may only contain the four DNP3 syscalls")
-        for mt, v in self.message_mix.items():
+        for mt, v in message_mix.items():
             if not 0 <= v < math.inf:
                 raise ValidationError(f"mix value for {mt.value!r} must be finite and >= 0")
-        if abs(sum(self.message_mix.values()) - 1.0) > MIX_SUM_TOL:
+        if abs(sum(message_mix.values()) - 1.0) > MIX_SUM_TOL:
             raise ValidationError("message mix must sum to 1")
-        if self.n_messages < 0:
+        if n_messages < 0:
             raise ValidationError("n_messages must be >= 0")
-        if not 0.0 <= self.noise_fraction < 1.0:
+        if not 0.0 <= noise_fraction < 1.0:
             raise ValidationError("noise_fraction must be in [0, 1)")
+        store(self, "scenario", scenario)
+        store(self, "weights", weights)
+        store(self, "message_mix", message_mix)
+        store(self, "n_messages", n_messages)
+        store(self, "seed", seed)
+        store(self, "noise_fraction", noise_fraction)
 
 
 def _picker(items: list, weights: list, rng: random.Random):

@@ -15,12 +15,12 @@ loads, and four routers.
 
 import importlib.resources
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple
 
 from .errors import FormatError, ValidationError
 from .ingest import IPV4_PATTERN, CaptureWindow, Dnp3MessageType, read_json
+from .record import Record, store
 
 DEFAULT_TOPOLOGY_RESOURCE = "wscc9.topology.json"
 
@@ -49,15 +49,13 @@ def parse_role(value) -> DeviceRole | None:
     return _ROLES.get(value) if isinstance(value, str) else None
 
 
-@dataclass(frozen=True)
-class Device:
+class Device(NamedTuple):
     name: str
     role: DeviceRole
     addrs: frozenset[str]
 
 
-@dataclass(frozen=True)
-class Topology:
+class Topology(Record):
     """Validated device inventory; immutable and safe for concurrent reads.
 
     Construction enforces: unique device names, IPv4 addresses (as
@@ -65,19 +63,16 @@ class Topology:
     devices, and exactly one SCADA master.
     """
 
-    devices: tuple[Device, ...]
-    _by_addr: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _by_name: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    scada_master: Device = field(init=False, repr=False, compare=False, default=None)
+    __slots__ = ("devices", "_by_addr", "_by_name", "_master")
 
-    def __post_init__(self):
-        names = Counter(d.name for d in self.devices)
+    def __init__(self, devices: tuple[Device, ...]):
+        names = Counter(d.name for d in devices)
         dupes = sorted(n for n, c in names.items() if c > 1)
         if dupes:
             raise ValidationError(f"duplicate device names: {', '.join(dupes)}")
 
         by_addr: dict[str, Device] = {}
-        for dev in self.devices:
+        for dev in devices:
             for addr in dev.addrs:
                 if not isinstance(addr, str) or not IPV4_PATTERN.fullmatch(addr):
                     raise ValidationError(
@@ -90,15 +85,20 @@ class Topology:
                     )
                 by_addr[addr] = dev
 
-        masters = [d for d in self.devices if d.role is DeviceRole.SCADA_MASTER]
+        masters = [d for d in devices if d.role is DeviceRole.SCADA_MASTER]
         if len(masters) != 1:
             raise ValidationError(
                 f"topology must declare exactly one SCADA master, found "
                 f"{len(masters)}: {sorted(d.name for d in masters)}"
             )
-        object.__setattr__(self, "_by_addr", by_addr)
-        object.__setattr__(self, "_by_name", {d.name: d for d in self.devices})
-        object.__setattr__(self, "scada_master", masters[0])
+        store(self, "devices", devices)
+        store(self, "_by_addr", by_addr)
+        store(self, "_by_name", {d.name: d for d in devices})
+        store(self, "_master", masters[0])
+
+    @property
+    def scada_master(self) -> Device:
+        return self._master
 
     def resolve(self, addr: str) -> Device | None:
         """Return the unique device owning addr, or None if undeclared."""
@@ -146,12 +146,11 @@ def default_topology() -> Topology:
     return load_topology(resource.read_bytes())
 
 
-@dataclass(frozen=True)
-class UnmappedReport:
+class UnmappedReport(NamedTuple):
     """Records dropped because an endpoint address is not in the topology."""
 
-    records: int = 0
-    by_addr: dict = field(default_factory=dict)  # addr -> occurrence count
+    records: int
+    by_addr: dict  # addr -> occurrence count
 
 
 def map_window(

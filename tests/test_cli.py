@@ -273,6 +273,21 @@ class TestSynth:
                      "--n", "3", "--seed", "9", "--out", str(out)]) == 0
         assert out.read_bytes().count(b"\n") == 3
 
+    @pytest.mark.parametrize("flag, message", [
+        (["--n", "-1"], "n_messages must be >= 0"),
+        (["--noise-fraction", "1.5"], "noise_fraction must be in [0, 1)"),
+    ])
+    def test_profile_document_overrides_validated(self, tmp_path, topo_file, capsys, flag,
+                                                  message):
+        doc = {"scenario": "baseline", "weights": {"dev-01": 1.0}, "n_messages": 7}
+        prof = tmp_path / "profile.json"
+        prof.write_text(json.dumps(doc))
+        out = tmp_path / "cap.jsonl"
+        assert main(["synth", "--profile", str(prof), "--topo", str(topo_file),
+                     "--out", str(out), *flag]) == 1
+        assert capsys.readouterr().err == f"cyberdep synth: error: {message}\n"
+        assert not out.exists()
+
     def test_unknown_profile_exits_1(self, capsys):
         assert main(["synth", "--profile", "nonesuch"]) == 1
         assert "neither a built-in" in capsys.readouterr().err

@@ -315,6 +315,23 @@ class TestGraphValidation:
             Dnp3MessageType.REQUEST_LINK_STATUS, READ, RESPOND, DO,
         }
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("count", 2.0, "count must be an integer, got 2.0"),
+        ("count", True, "count must be an integer, got True"),
+        ("by_type", {READ: 2.0}, "by_type['read'] must be an integer, got 2.0"),
+        ("by_type", {RESPOND: False}, "by_type['response'] must be an integer, got False"),
+        ("probability", True, "probability must be a number, got True"),
+        ("probability", "0.5", "probability must be a number, got '0.5'"),
+    ])
+    def test_number_types_checked(self, field, value, message):
+        with pytest.raises(ValidationError, match=f"^edge a->b: {re.escape(message)}$"):
+            DgEdge(**{"source": "a", "sink": "b", "probability": 0.5, field: value})
+
+    def test_integer_probability_stored_as_float(self):
+        edge = DgEdge("a", "b", 1, 2, {READ: 2})
+        assert type(edge.probability) is float
+        assert edge == DgEdge("a", "b", 1.0, 2, {READ: 2})
+
     def test_equal_edges_hash_equal(self):
         edge = DgEdge("a", "b", 0.5, count=2, by_type={READ: 2})
         same = DgEdge("a", "b", 0.5, count=2, by_type={READ: 2})

@@ -349,12 +349,22 @@ def test_templates_match_without_edges(graph):
 
 
 def test_cli_import_loads_no_xml_library():
+    # Nor dataclasses, nor inspect, which dataclasses alone would pull in.
     env = {**os.environ, "PYTHONPATH": str(Path(cyberdep.__file__).parents[1])}
     code = ("import sys, cyberdep.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'xml'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'xml'"
+            " or m in ('dataclasses', 'inspect')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60).stdout
     assert out == "[]\n"
+
+
+def test_integer_probability_round_trips_byte_stable():
+    edge = DgEdge("a", "s", 1, 3, {Dnp3MessageType.READ: 3})
+    graph = DependencyGraph((DgNode("a"), DgNode("s")), (edge,), Normalization.GLOBAL, 3)
+    data = graph_to_json_bytes(graph)
+    assert b'"probability": 1.0,' in data
+    assert graph_to_json_bytes(load_graph_json(data)) == data
 
 
 DOT_ID = r'[A-Za-z_][A-Za-z0-9_]*|"(?:[^"\\]|\\.)*"'

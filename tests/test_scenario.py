@@ -3,7 +3,6 @@
 import ast
 import io
 import json
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -233,7 +232,7 @@ class TestSignatureTable:
     def test_builtin_profiles_show_their_signature(self, wscc, seed):
         runs = [synth_run(kind.value, kind, seed, wscc) for kind in ScenarioKind]
         report = compare(runs, topology=wscc)
-        assert all(asdict(report.flags).values()), report.flags
+        assert all(report.flags._asdict().values()), report.flags
         assert report.unchecked == {}
 
         variant = synth_run("dos_run3_variant", ScenarioKind.DOS_ONLY, seed, wscc)

@@ -3,7 +3,6 @@
 import hashlib
 import json
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -312,5 +311,5 @@ def test_generated_stream_always_parses_with_zero_rejections(seed, n):
 def test_replacing_only_seed_keeps_validity(seed):
     topo = make_topology(2)
     base = TrafficProfile(ScenarioKind.BASELINE, {"dev-01": 1.0}, n_messages=30)
-    p = replace(base, seed=seed)
+    p = base.replace(seed=seed)
     assert generate(p, topo) == generate(p, topo)
