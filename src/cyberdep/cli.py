@@ -20,20 +20,17 @@ def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _existing_file(path_str: str, what: str) -> Path:
+    path = Path(path_str)
+    if not path.is_file():
+        raise FormatError(f"{what} file not found: {path}")
+    return path
+
+
 def _load_topology(args) -> topology.Topology:
     if args.topo is None:
         return topology.default_topology()
-    path = Path(args.topo)
-    if not path.is_file():
-        raise FormatError(f"topology file not found: {path}")
-    return topology.load_topology(path.read_bytes())
-
-
-def _read_input(path_str: str) -> bytes:
-    path = Path(path_str)
-    if not path.is_file():
-        raise FormatError(f"input file not found: {path}")
-    return path.read_bytes()
+    return topology.load_topology(_existing_file(args.topo, "topology").read_bytes())
 
 
 def _write_output(path_str: str | None, payload: bytes) -> None:
@@ -69,26 +66,23 @@ def _build_from_capture(args, capture_path: str, topo: topology.Topology):
         scada_collapse=not args.no_scada_collapse,
         normalization=depgraph.Normalization(args.normalization),
     )
-    path = Path(capture_path)
-    if not path.is_file():
-        raise FormatError(f"input file not found: {path}")
-    with path.open("rb") as lines:
-        result, stats, rejections = depgraph.build_graph_from_lines(lines, topo, options)
+    with _existing_file(capture_path, "input").open("rb") as lines:
+        result = depgraph.build_graph_from_lines(lines, topo, options)
 
-    retained = stats.parsed - result.filtered_out
+    retained = result.stats.parsed - result.stats.filtered_out
     _diag(
-        f"{capture_path}: parsed {stats.parsed}/{stats.total} lines "
-        f"({stats.rejected} rejected); dnp3 retained {retained} "
-        f"(filtered out {result.filtered_out})"
+        f"{capture_path}: parsed {result.stats.parsed}/{result.stats.total} lines "
+        f"({result.stats.rejected} rejected); dnp3 retained {retained} "
+        f"(filtered out {result.stats.filtered_out})"
     )
     _diag(
         f"{capture_path}: mapped {retained - result.unmapped.records} records "
         f"({result.unmapped.records} unmapped); non-scada flow dropped: {result.scada_dropped}"
     )
     if args.verbose:
-        for reject in rejections:
+        for reject in result.rejections:
             _diag(f"  rejected line {reject.line_no}: {reject.reason}")
-        hidden = stats.rejected - len(rejections)
+        hidden = result.stats.rejected - len(result.rejections)
         if hidden > 0:
             _diag(f"  ... {hidden} more rejected lines not shown")
         for addr, n in sorted(result.unmapped.by_addr.items()):
@@ -109,13 +103,13 @@ def cmd_build(args) -> int:
 
 
 def cmd_export(args) -> int:
-    graph = graphio.load_graph_json(_read_input(args.input))
+    graph = graphio.load_graph_json(_existing_file(args.input, "input").read_bytes())
     _write_output(args.out, graphio.render_graph(graph, args.format))
     return 0
 
 
 def cmd_query(args) -> int:
-    graph = graphio.load_graph_json(_read_input(args.input))
+    graph = graphio.load_graph_json(_existing_file(args.input, "input").read_bytes())
     active = [name for name in (args.active or "").split(",") if name]
     q = depgraph.ConditionalQuery(args.target, {name: True for name in active})
     result = depgraph.query(graph, q)
@@ -148,8 +142,8 @@ def cmd_synth(args) -> int:
 
 def cmd_compare(args) -> int:
     topo = _load_topology(args)
-    manifest_path = Path(args.input)
-    entries = ingest.read_json(_read_input(args.input), "manifest")
+    manifest_path = _existing_file(args.input, "input")
+    entries = ingest.read_json(manifest_path.read_bytes(), "manifest")
     if not isinstance(entries, list) or not entries:
         raise ValidationError("manifest must be a non-empty json list")
 
@@ -162,7 +156,7 @@ def cmd_compare(args) -> int:
         except ValueError:
             raise FormatError(f"manifest[{i}]: unknown scenario {entry.get('scenario')!r}")
         run_id = entry.get("run_id")
-        if not isinstance(run_id, int) or isinstance(run_id, bool):
+        if not ingest.is_integer(run_id):
             raise FormatError(f"manifest[{i}]: 'run_id' must be an integer")
         capture = entry.get("capture")
         if not isinstance(capture, str):

@@ -27,12 +27,12 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import QueryError, ValidationError
 from .ingest import DNP3_SYSCALLS, CaptureWindow, Dnp3MessageType, IngestStats, RejectedLine
-from .ingest import scan_packet_log
+from .ingest import is_integer, scan_packet_log
 from .record import Record, store
 from .topology import DeviceRole, Topology, UnmappedReport
 
 PROBABILITY_SUM_TOL = 1e-9
-#: Rejected lines a streamed build keeps, as ``build -v`` lists; the rest are only counted.
+#: Rejected lines a build keeps, as ``build -v`` lists; the rest are only counted.
 _SHOWN_REJECTIONS = 20
 
 
@@ -53,15 +53,21 @@ def format_probability(p: float) -> str:
 
 
 class FlowCounts:
-    """Per (source device, sink device) message counts with a per-type breakdown."""
+    """Per (source device, sink device) message counts with a per-type breakdown.
 
-    __slots__ = ("entries", "window_label")
+    ``dropped`` counts the mapped records left out of ``entries``, so
+    mapped = grand_total + dropped.
+    """
+
+    __slots__ = ("entries", "window_label", "dropped")
 
     def __init__(
-        self, entries: dict[tuple[str, str], dict[Dnp3MessageType, int]], window_label: str = ""
+        self, entries: dict[tuple[str, str], dict[Dnp3MessageType, int]], window_label: str = "",
+        dropped: int = 0,
     ):
         self.entries = entries
         self.window_label = window_label
+        self.dropped = dropped
 
     def entry_total(self, pair: tuple[str, str]) -> int:
         return sum(self.entries[pair].values())
@@ -74,23 +80,31 @@ class FlowCounts:
 def count_flows(
     mapped: Iterable[tuple[str, str, Dnp3MessageType]], window_label: str = ""
 ) -> FlowCounts:
-    """Aggregate map_window's (src name, dst name, message type) triples by pair and type."""
+    """Aggregate map_window's (src name, dst name, message type) triples by pair and type.
+
+    A triple inside one device is no dependency: it is only counted, in ``dropped``.
+    """
     entries: dict[tuple[str, str], dict[Dnp3MessageType, int]] = {}
+    dropped = 0
     for src, dst, message_type in mapped:
+        if src == dst:
+            dropped += 1
+            continue
         by_type = entries.setdefault((src, dst), {})
         by_type[message_type] = by_type.get(message_type, 0) + 1
-    return FlowCounts(entries, window_label)
+    return FlowCounts(entries, window_label, dropped)
 
 
 def collapse_to_scada(counts: FlowCounts, topology: Topology) -> tuple[FlowCounts, int]:
     """Merge both directions of device<->SCADA traffic into one device->SCADA entry.
 
     Entries not involving the SCADA master, and traffic inside one device, are
-    dropped; their combined total is returned alongside the collapsed counts.
+    dropped. Their total plus ``counts.dropped`` is returned alongside the
+    collapsed counts, which carry it as their own ``dropped``.
     """
     scada = topology.scada_master.name
     entries: dict[tuple[str, str], dict[Dnp3MessageType, int]] = {}
-    dropped_total = 0
+    dropped_total = counts.dropped
     for (src, dst), by_type in counts.entries.items():
         if src == dst or scada not in (src, dst):  # one device's own traffic is no dependency
             dropped_total += sum(by_type.values())
@@ -99,7 +113,7 @@ def collapse_to_scada(counts: FlowCounts, topology: Topology) -> tuple[FlowCount
         tgt = entries.setdefault((device, scada), {})
         for mt, n in by_type.items():
             tgt[mt] = tgt.get(mt, 0) + n
-    return FlowCounts(entries, counts.window_label), dropped_total
+    return FlowCounts(entries, counts.window_label, dropped_total), dropped_total
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +129,6 @@ class DgNode(Record):
     def __init__(self, name: str, role: DeviceRole = DeviceRole.OTHER):
         store(self, "name", name)
         store(self, "role", role)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 _RLS, _READ, _RESPOND, _OPERATE = DNP3_SYSCALLS
@@ -143,7 +153,7 @@ class DgEdge(Record):
             raise ValidationError(f"self-edge not allowed: {source!r}")
         # Exact types first: the isinstance checks are the slow path.
         if type(probability) is not float and not (
-            _is_int(probability) or isinstance(probability, float)
+            is_integer(probability) or isinstance(probability, float)
         ):
             raise ValidationError(
                 f"edge {source}->{sink}: probability must be a number, got {probability!r}"
@@ -152,7 +162,7 @@ class DgEdge(Record):
             raise ValidationError(
                 f"edge {source}->{sink}: probability {probability!r} outside [0, 1]"
             )
-        if type(count) is not int and not _is_int(count):
+        if type(count) is not int and not is_integer(count):
             raise ValidationError(f"edge {source}->{sink}: count must be an integer, got {count!r}")
         if count < 0:
             raise ValidationError(f"edge {source}->{sink}: negative count")
@@ -160,7 +170,7 @@ class DgEdge(Record):
         canonical = {_RLS: get(_RLS, 0), _READ: get(_READ, 0), _RESPOND: get(_RESPOND, 0),
                      _OPERATE: get(_OPERATE, 0)}
         for mt, n in canonical.items():
-            if type(n) is not int and not _is_int(n):
+            if type(n) is not int and not is_integer(n):
                 raise ValidationError(
                     f"edge {source}->{sink}: by_type[{mt.value!r}] must be an integer, got {n!r}"
                 )
@@ -383,20 +393,21 @@ class GraphOptions(NamedTuple):
 
 
 class BuildResult(NamedTuple):
-    """A built graph plus the drop counts that its capture window does not carry.
+    """A built graph, its capture's stats and first rejected lines, and what each stage dropped.
 
-    Retained records = parsed - filtered_out; mapped = retained - unmapped.records.
+    stats.parsed - stats.filtered_out - unmapped.records = graph.grand_total + scada_dropped.
     """
 
     graph: DependencyGraph
-    filtered_out: int
+    stats: IngestStats
     unmapped: UnmappedReport
     scada_dropped: int
+    rejections: tuple[RejectedLine, ...]
 
 
 def _build_from_counts(
     counts: Mapping[tuple[str, str, Dnp3MessageType], int], topology: Topology,
-    options: GraphOptions, filtered_out: int = 0,
+    options: GraphOptions, stats: IngestStats, rejections: tuple[RejectedLine, ...],
 ) -> BuildResult:
     """The one downstream half of a build: filter, map, count, collapse, normalize.
 
@@ -405,9 +416,9 @@ def _build_from_counts(
     adds n to the unmapped records and n per unknown endpoint to ``by_addr``;
     one whose endpoints resolve to the same device adds n to ``scada_dropped``.
     """
-    entries: dict[tuple[str, str], dict[Dnp3MessageType, int]] = {}
+    flows = FlowCounts({})
     unknown: Counter = Counter()
-    unmapped = scada_dropped = 0
+    filtered_out, unmapped = stats.filtered_out, 0
     for (src_addr, dst_addr, message_type), n in counts.items():
         if message_type not in DNP3_SYSCALLS:
             filtered_out += n
@@ -420,17 +431,17 @@ def _build_from_counts(
                     unknown[addr] += n
             continue
         if src is dst:  # traffic inside one device is no dependency
-            scada_dropped += n
+            flows.dropped += n
             continue
-        by_type = entries.setdefault((src.name, dst.name), {})
+        by_type = flows.entries.setdefault((src.name, dst.name), {})
         by_type[message_type] = by_type.get(message_type, 0) + n
 
-    flows = FlowCounts(entries)
     if options.scada_collapse:
-        flows, collapsed = collapse_to_scada(flows, topology)
-        scada_dropped += collapsed
+        flows, _ = collapse_to_scada(flows, topology)
     graph = edge_probabilities(flows, options.normalization, topology.roles())
-    return BuildResult(graph, filtered_out, UnmappedReport(unmapped, dict(unknown)), scada_dropped)
+    return BuildResult(graph, stats._replace(filtered_out=filtered_out),
+                       UnmappedReport(unmapped, dict(unknown)), flows.dropped,
+                       rejections[:_SHOWN_REJECTIONS])
 
 
 def build_graph(
@@ -443,13 +454,13 @@ def build_graph(
     Deterministic: identical inputs produce identical graphs.
     """
     counts = Counter((r.src_addr, r.dst_addr, r.message_type) for r in window.records)
-    return _build_from_counts(counts, topology, options, window.stats.filtered_out)
+    return _build_from_counts(counts, topology, options, window.stats, window.rejections)
 
 
 def build_graph_from_lines(
     lines: Iterable[bytes], topology: Topology, options: GraphOptions = GraphOptions()
-) -> tuple[BuildResult, IngestStats, tuple[RejectedLine, ...]]:
-    """``build_graph(parse_packet_log(lines))``, that window's stats and first rejections.
+) -> BuildResult:
+    """``build_graph(parse_packet_log(lines))``, streamed.
 
     Counts the lines (a binary file iterates as lines) without making record
     objects, so memory does not grow with their number. Rejected lines past
@@ -468,4 +479,4 @@ def build_graph_from_lines(
             counts[key] = counts.get(key, 0) + 1
     parsed = sum(counts.values())
     stats = IngestStats(total=parsed + rejected, parsed=parsed, rejected=rejected)
-    return _build_from_counts(counts, topology, options), stats, tuple(rejections)
+    return _build_from_counts(counts, topology, options, stats, tuple(rejections))

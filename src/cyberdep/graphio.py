@@ -19,7 +19,7 @@ from typing import BinaryIO
 
 from .depgraph import DependencyGraph, DgEdge, DgNode, Normalization, format_probability
 from .errors import FormatError
-from .ingest import DNP3_SYSCALLS, is_number, read_json
+from .ingest import DNP3_SYSCALLS, is_integer, is_number, read_json
 from .topology import NON_XML_CHARS, DeviceRole, parse_role
 
 _BARE_DOT_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -84,7 +84,7 @@ def load_graph_json(stream: BinaryIO | bytes) -> DependencyGraph:
         if not is_number(prob):
             raise FormatError(f"edges[{i}] needs a numeric 'probability'")
         count = entry.get("count", 0)
-        if not isinstance(count, int) or isinstance(count, bool):
+        if not is_integer(count):
             raise FormatError(f"edges[{i}]: 'count' must be an integer")
         raw_types = entry.get("by_type", {})
         if not isinstance(raw_types, dict):
@@ -94,7 +94,7 @@ def load_graph_json(stream: BinaryIO | bytes) -> DependencyGraph:
             mt = _MODELED_TYPES.get(name)
             if mt is None:
                 raise FormatError(f"edges[{i}]: unknown message type {name!r}")
-            if not isinstance(n, int) or isinstance(n, bool):
+            if not is_integer(n):
                 raise FormatError(f"edges[{i}]: by_type[{name!r}] must be an integer")
             by_type[mt] = n
         edges.append(DgEdge(entry["source"], entry["sink"], float(prob), count, by_type))
@@ -104,7 +104,7 @@ def load_graph_json(stream: BinaryIO | bytes) -> DependencyGraph:
     except ValueError:
         raise FormatError(f"unknown normalization {doc.get('normalization')!r}")
     grand_total = doc.get("grand_total", sum(e.count for e in edges))
-    if not isinstance(grand_total, int) or isinstance(grand_total, bool):
+    if not is_integer(grand_total):
         raise FormatError("'grand_total' must be an integer")
 
     return DependencyGraph(tuple(nodes), tuple(edges), normalization, grand_total)

@@ -81,9 +81,14 @@ def read_json(data: BinaryIO | bytes, what: str):
         raise FormatError(f"{what} is not valid json: {_json_failure(exc)}")
 
 
+def is_integer(value) -> bool:
+    """True for an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def is_number(value) -> bool:
     """True for a decoded JSON number a float can hold (no bool, no integer past 1.8e308)."""
-    if isinstance(value, int) and not isinstance(value, bool):
+    if is_integer(value):
         return abs(value) <= sys.float_info.max
     return isinstance(value, float)
 

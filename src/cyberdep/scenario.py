@@ -13,6 +13,7 @@ from typing import Iterable, NamedTuple
 
 from .depgraph import DependencyGraph, DgEdge, format_probability
 from .errors import ValidationError
+from .ingest import is_integer
 from .record import Record, store
 from .topology import Topology, default_topology
 
@@ -33,6 +34,8 @@ class ScenarioRun(Record):
     def __init__(
         self, scenario: ScenarioKind, run_id: int, capture_ref: str, graph: DependencyGraph
     ):
+        if not is_integer(run_id):
+            raise ValidationError(f"run_id must be an integer, got {run_id!r}")
         if run_id < 1:
             raise ValidationError(f"run_id must be positive, got {run_id}")
         store(self, "scenario", scenario)

@@ -23,7 +23,8 @@ from bisect import bisect_right
 from typing import BinaryIO
 
 from .errors import FormatError, ValidationError
-from .ingest import DNP3_SYSCALLS, Dnp3MessageType, is_number, parse_message_type, read_json
+from .ingest import DNP3_SYSCALLS, Dnp3MessageType, is_integer, is_number, parse_message_type
+from .ingest import read_json
 from .record import Record, store
 from .scenario import SIGNATURES, ScenarioKind
 from .topology import DeviceRole, Topology
@@ -62,6 +63,8 @@ class TrafficProfile(Record):
         if not weights:
             raise ValidationError("profile needs at least one weighted device")
         for name, w in weights.items():
+            if not is_number(w):
+                raise ValidationError(f"weight for {name!r} must be a number")
             if not 0 <= w < math.inf:
                 kind = "negative" if w < 0 else "non-finite"
                 raise ValidationError(f"{kind} weight for {name!r}")
@@ -74,12 +77,19 @@ class TrafficProfile(Record):
         if set(message_mix) - set(DNP3_SYSCALLS):
             raise ValidationError("message mix may only contain the four DNP3 syscalls")
         for mt, v in message_mix.items():
+            if not is_number(v):
+                raise ValidationError(f"mix value for {mt.value!r} must be a number")
             if not 0 <= v < math.inf:
                 raise ValidationError(f"mix value for {mt.value!r} must be finite and >= 0")
         if abs(sum(message_mix.values()) - 1.0) > MIX_SUM_TOL:
             raise ValidationError("message mix must sum to 1")
+        for key, value in (("n_messages", n_messages), ("seed", seed)):
+            if not is_integer(value):
+                raise ValidationError(f"{key} must be an integer")
         if n_messages < 0:
             raise ValidationError("n_messages must be >= 0")
+        if not is_number(noise_fraction):
+            raise ValidationError("noise_fraction must be a number")
         if not 0.0 <= noise_fraction < 1.0:
             raise ValidationError("noise_fraction must be in [0, 1)")
         store(self, "scenario", scenario)
@@ -224,7 +234,7 @@ def load_profile(stream: BinaryIO | bytes) -> TrafficProfile:
         kwargs["message_mix"] = mix
     for key in ("n_messages", "seed"):
         if key in doc:
-            if not isinstance(doc[key], int) or isinstance(doc[key], bool):
+            if not is_integer(doc[key]):
                 raise FormatError(f"{key!r} must be an integer")
             kwargs[key] = doc[key]
     if "noise_fraction" in doc:

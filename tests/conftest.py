@@ -14,9 +14,11 @@ def jsonl_bytes(rows) -> bytes:
     )
 
 
-def make_topology(n_field: int, scada_name: str = "scada") -> Topology:
-    """One SCADA master plus n_field field devices on 10.9.1.0/24."""
-    devices = [Device(scada_name, DeviceRole.SCADA_MASTER, frozenset({"10.9.0.1"}))]
+def make_topology(
+    n_field: int, scada_name: str = "scada", master_addrs: tuple[str, ...] = ("10.9.0.1",)
+) -> Topology:
+    """One SCADA master (by default on 10.9.0.1) plus n_field field devices on 10.9.1.0/24."""
+    devices = [Device(scada_name, DeviceRole.SCADA_MASTER, frozenset(master_addrs))]
     for i in range(n_field):
         devices.append(
             Device(

@@ -527,21 +527,26 @@ class TestBuildGraph:
         data = jsonl_bytes(INTRA_DEVICE_ROWS)
         window = parse_packet_log(data)
         for result in (build_graph(window, topo, GraphOptions(collapse)),
-                       build_graph_from_lines(io.BytesIO(data), topo, GraphOptions(collapse))[0]):
+                       build_graph_from_lines(io.BytesIO(data), topo, GraphOptions(collapse))):
             assert {e.key for e in result.graph.edges} == edges
             assert result.graph.grand_total == 4
             assert result.scada_dropped == 3  # mapped 7 = grand_total 4 + dropped 3
             assert result.unmapped.records == 0
 
-    def test_stage_chain_drops_intra_device_traffic(self):
+    @pytest.mark.parametrize("collapse", [True, False])
+    def test_stage_chain_drops_intra_device_traffic(self, collapse):
         # The README's "same graph, stage by stage" chain on the same capture.
         topo = intra_device_topology()
         window = parse_packet_log(jsonl_bytes(INTRA_DEVICE_ROWS))
         mapped, unmapped = map_window(topo, filter_dnp3(window))
-        counts, scada_dropped = collapse_to_scada(count_flows(mapped), topo)
-        result = build_graph(window, topo)
+        counts = count_flows(mapped)
+        assert counts.dropped == 3
+        if collapse:
+            counts, scada_dropped = collapse_to_scada(counts, topo)
+            assert scada_dropped == counts.dropped
+        result = build_graph(window, topo, GraphOptions(collapse))
         assert edge_probabilities(counts, roles=topo.roles()) == result.graph
-        assert scada_dropped == result.scada_dropped == 3
+        assert counts.dropped == result.scada_dropped == 3  # mapped 7 = grand_total 4 + 3
         assert unmapped.records == 0
 
 
@@ -555,9 +560,11 @@ def intra_device_topology() -> Topology:
 
 # -- streamed build ----------------------------------------------------------
 
-# 10.9.0.1 is the master and 10.9.1.x the field devices of make_topology(3);
-# 10.9.2.x resolve to nothing.
-ADDRESSES = ["10.9.0.1", "10.9.1.1", "10.9.1.2", "10.9.1.3", "10.9.2.1", "10.9.2.2"]
+# 10.9.0.1-2 are the master and 10.9.1.x the field devices of STREAM_TOPOLOGY, so
+# master-to-master lines are traffic inside one device; 10.9.2.x resolve to nothing.
+STREAM_TOPOLOGY = make_topology(3, master_addrs=("10.9.0.1", "10.9.0.2"))
+ADDRESSES = ["10.9.0.1", "10.9.0.2", "10.9.1.1", "10.9.1.2", "10.9.1.3", "10.9.2.1",
+             "10.9.2.2"]
 MALFORMED_LINES = [
     b"\xff\xfe garbage",
     b"{broken",
@@ -605,31 +612,36 @@ def staged_build(window, topo, options):
     """The library stages one by one: the reference both builds must match."""
     filtered = filter_dnp3(window)
     mapped, unmapped = map_window(topo, filtered)
-    counts, scada_dropped = count_flows(mapped), 0
+    counts = count_flows(mapped)
     if options.scada_collapse:
-        counts, scada_dropped = collapse_to_scada(counts, topo)
+        counts, _ = collapse_to_scada(counts, topo)
     graph = edge_probabilities(counts, options.normalization, topo.roles())
-    return BuildResult(graph, filtered.stats.filtered_out, unmapped, scada_dropped)
+    return BuildResult(graph, filtered.stats, unmapped, counts.dropped, window.rejections[:20])
 
 
 class TestBuildGraphFromLines:
     @settings(max_examples=300, deadline=None)
     @given(lines=capture_lines, final_newline=st.booleans())
     @example(lines=MALFORMED_LINES * 2 + [b'{"ts_us": 0, "src": "10.9.2.1", "dst": "10.9.2.2", '
+                                          b'"proto": "dnp3", "dnp3_fn": "read"}',
+                                          b'{"ts_us": 0, "src": "10.9.0.1", "dst": "10.9.0.2", '
                                           b'"proto": "dnp3", "dnp3_fn": "read"}'],
              final_newline=True)
     def test_streamed_equals_staged(self, lines, final_newline):
-        """Random mixes of valid, malformed, blank, non-DNP3, unmapped, non-SCADA and
-        out-of-order lines give the staged build's result, stats and first rejections."""
-        topo = make_topology(3)
+        """Random mixes of valid, malformed, blank, non-DNP3, unmapped, non-SCADA,
+        intra-device and out-of-order lines: the streamed build, the window build and
+        the staged chain give one BuildResult, stats and first rejections included."""
+        topo = STREAM_TOPOLOGY
         data = b"\n".join(lines) + (b"\n" if final_newline else b"")
         window = parse_packet_log(data)
         for options in ALL_OPTIONS:
-            result, stats, rejections = build_graph_from_lines(io.BytesIO(data), topo, options)
-            assert result == staged_build(window, topo, options)
-            assert result == build_graph(window, topo, options)
-            assert stats == window.stats
-            assert rejections == window.rejections[:20]
+            result = build_graph_from_lines(io.BytesIO(data), topo, options)
+            window_build = build_graph(window, topo, options)
+            assert result == window_build == staged_build(window, topo, options)
+            assert build_graph(filter_dnp3(window), topo, options) == window_build
+            stats = result.stats
+            mapped = stats.parsed - stats.filtered_out - result.unmapped.records
+            assert mapped == result.graph.grand_total + result.scada_dropped
 
     def test_peak_memory_flat_in_capture_length(self, wscc, tmp_path):
         """A streamed build of a 4N-line capture peaks within 1.25x of an N-line one."""
@@ -641,7 +653,7 @@ class TestBuildGraphFromLines:
             tracemalloc.start()
             try:
                 with path.open("rb") as lines:
-                    result, _, _ = build_graph_from_lines(lines, wscc)
+                    result = build_graph_from_lines(lines, wscc)
                 return tracemalloc.get_traced_memory()[1], result.graph.grand_total
             finally:
                 tracemalloc.stop()

@@ -81,6 +81,12 @@ class TestScenarioRun:
         with pytest.raises(ValidationError, match="run_id"):
             ScenarioRun(ScenarioKind.BASELINE, 0, "x", star_graph(BASE))
 
+    @pytest.mark.parametrize("run_id", [True, 1.0])
+    def test_run_id_must_be_an_integer(self, run_id):
+        with pytest.raises(ValidationError) as exc:
+            ScenarioRun(ScenarioKind.BASELINE, run_id, "x", star_graph(BASE))
+        assert str(exc.value) == f"run_id must be an integer, got {run_id!r}"
+
     def test_key(self):
         r = run(ScenarioKind.DOS_ONLY, 2, DOS)
         assert r.key == (ScenarioKind.DOS_ONLY, 2)
@@ -223,7 +229,7 @@ RANKING_FLAGS = ("dos_top2", "no_mitigation_top2", "mitigation_pattern")
 
 def synth_run(name, kind, run_id, topo, n_messages=10_000):
     profile = builtin_profile(name, topo, n_messages=n_messages, seed=run_id)
-    result, _, _ = build_graph_from_lines(io.BytesIO(generate(profile, topo)), topo)
+    result = build_graph_from_lines(io.BytesIO(generate(profile, topo)), topo)
     return ScenarioRun(kind, run_id, f"{name}-{run_id}", result.graph)
 
 

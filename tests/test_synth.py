@@ -79,7 +79,7 @@ class TestProfileValidation:
                 message_mix={Dnp3MessageType.OTHER: 1.0},
             )
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.0])
+    @pytest.mark.parametrize("bad", [-0.1, 1.0, "0.1"])
     def test_noise_fraction_range(self, bad):
         with pytest.raises(ValidationError, match="noise_fraction"):
             TrafficProfile(ScenarioKind.BASELINE, {"dev-01": 1.0}, noise_fraction=bad)
@@ -87,6 +87,21 @@ class TestProfileValidation:
     def test_negative_n(self):
         with pytest.raises(ValidationError, match="n_messages"):
             TrafficProfile(ScenarioKind.BASELINE, {"dev-01": 1.0}, n_messages=-5)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_messages": 2.5}, "n_messages must be an integer"),
+        ({"n_messages": True}, "n_messages must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"noise_fraction": "0.1"}, "noise_fraction must be a number"),
+        ({"weights": {"dev-01": "1"}}, "weight for 'dev-01' must be a number"),
+        ({"weights": {"dev-01": 10**5000}}, "weight for 'dev-01' must be a number"),
+        ({"message_mix": {Dnp3MessageType.READ: "1"}}, "mix value for 'read' must be a number"),
+    ])
+    def test_field_types_checked(self, kwargs, message):
+        kwargs = {"weights": {"dev-01": 1.0}, **kwargs}
+        with pytest.raises(ValidationError) as exc:
+            TrafficProfile(ScenarioKind.BASELINE, **kwargs)
+        assert str(exc.value) == message
 
 
 class TestGenerate:
