@@ -145,7 +145,7 @@ def cmd_compare(args) -> int:
     manifest_path = _existing_file(args.input, "input")
     entries = ingest.read_json(manifest_path.read_bytes(), "manifest")
     if not isinstance(entries, list) or not entries:
-        raise ValidationError("manifest must be a non-empty json list")
+        raise FormatError("manifest must be a non-empty json list")
 
     runs = []
     for i, entry in enumerate(entries):
@@ -155,15 +155,15 @@ def cmd_compare(args) -> int:
             kind = scenario.ScenarioKind(entry.get("scenario"))
         except ValueError:
             raise FormatError(f"manifest[{i}]: unknown scenario {entry.get('scenario')!r}")
-        run_id = entry.get("run_id")
-        if not ingest.is_integer(run_id):
-            raise FormatError(f"manifest[{i}]: 'run_id' must be an integer")
         capture = entry.get("capture")
         if not isinstance(capture, str):
             raise FormatError(f"manifest[{i}]: 'capture' must be a path string")
         capture_path = str((manifest_path.parent / capture))
         graph = _build_from_capture(args, capture_path, topo)
-        runs.append(scenario.ScenarioRun(kind, run_id, capture, graph))
+        try:
+            runs.append(scenario.ScenarioRun(kind, entry.get("run_id"), capture, graph))
+        except ValidationError as exc:  # the record's text does not say which entry
+            raise ValidationError(f"manifest[{i}]: {exc}")
 
     report = scenario.compare(runs, uniformity_tol=args.uniformity_tol, topology=topo)
     if args.verbose:

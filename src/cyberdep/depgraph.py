@@ -69,12 +69,9 @@ class FlowCounts:
         self.window_label = window_label
         self.dropped = dropped
 
-    def entry_total(self, pair: tuple[str, str]) -> int:
-        return sum(self.entries[pair].values())
-
     @property
     def grand_total(self) -> int:
-        return sum(self.entry_total(pair) for pair in self.entries)
+        return sum(sum(by_type.values()) for by_type in self.entries.values())
 
 
 def count_flows(
@@ -237,6 +234,8 @@ class DependencyGraph(Record):
                     type_mismatch = e
                 sink_totals[e.sink] = sink_totals.get(e.sink, 0) + e.count
 
+        if type(grand_total) is not int and not is_integer(grand_total):
+            raise ValidationError(f"grand_total must be an integer, got {grand_total!r}")
         if grand_total < 0:
             raise ValidationError("grand_total must be >= 0")
         if normalized:
@@ -304,8 +303,8 @@ def edge_probabilities(
 ) -> DependencyGraph:
     """Convert flow counts to a probability-weighted dependency graph.
 
-    Under GLOBAL normalization each edge gets entry_total / grand_total; under
-    PER_SINK, entry_total / (total into that sink). Zero traffic yields an
+    Under GLOBAL normalization each edge gets its count / grand_total; under
+    PER_SINK, its count / (total into that sink). Zero traffic yields an
     empty graph. ``roles`` decorates nodes for export; unlisted names get
     DeviceRole.OTHER.
     """
@@ -317,8 +316,9 @@ def edge_probabilities(
     if grand_total == 0:
         return DependencyGraph((), (), normalization, 0)
 
+    per_sink = normalization is Normalization.PER_SINK
     sink_totals: dict[str, int] = defaultdict(int)
-    for (_, dst), by_type in counts.entries.items():
+    for (_, dst), by_type in counts.entries.items() if per_sink else ():
         sink_totals[dst] += sum(by_type.values())
 
     names = {name for pair in counts.entries for name in pair}  # the graph sorts them
@@ -327,7 +327,7 @@ def edge_probabilities(
     edges = []
     for (src, dst), by_type in counts.entries.items():
         total = sum(by_type.values())
-        denominator = grand_total if normalization is Normalization.GLOBAL else sink_totals[dst]
+        denominator = sink_totals[dst] if per_sink else grand_total
         edges.append(DgEdge(src, dst, total / denominator, total, by_type))  # copies by_type
     return DependencyGraph(nodes, tuple(edges), normalization, grand_total)
 

@@ -19,7 +19,7 @@ from typing import BinaryIO
 
 from .depgraph import DependencyGraph, DgEdge, DgNode, Normalization, format_probability
 from .errors import FormatError
-from .ingest import DNP3_SYSCALLS, is_integer, is_number, read_json
+from .ingest import DNP3_SYSCALLS, MODELED_TYPES, read_json
 from .topology import NON_XML_CHARS, DeviceRole, parse_role
 
 _BARE_DOT_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -53,11 +53,11 @@ def graph_to_json_bytes(graph: DependencyGraph) -> bytes:
                            graph.grand_total)).encode("utf-8")
 
 
-_MODELED_TYPES = {mt.value: mt for mt in DNP3_SYSCALLS}
-
-
 def load_graph_json(stream: BinaryIO | bytes) -> DependencyGraph:
-    """Parse graph JSON back into a DependencyGraph, revalidating all invariants."""
+    """Parse graph JSON back into a DependencyGraph, revalidating all invariants.
+
+    Only the document's shape is checked here; the records check its values.
+    """
     doc = read_json(stream, "graph file")
     if not isinstance(doc, dict):
         raise FormatError("graph document must be a json object")
@@ -80,33 +80,23 @@ def load_graph_json(stream: BinaryIO | bytes) -> DependencyGraph:
         for key in ("source", "sink"):
             if not isinstance(entry.get(key), str):
                 raise FormatError(f"edges[{i}] needs a string {key!r}")
-        prob = entry.get("probability")
-        if not is_number(prob):
-            raise FormatError(f"edges[{i}] needs a numeric 'probability'")
-        count = entry.get("count", 0)
-        if not is_integer(count):
-            raise FormatError(f"edges[{i}]: 'count' must be an integer")
         raw_types = entry.get("by_type", {})
         if not isinstance(raw_types, dict):
             raise FormatError(f"edges[{i}]: 'by_type' must be an object")
         by_type = {}
         for name, n in raw_types.items():
-            mt = _MODELED_TYPES.get(name)
+            mt = MODELED_TYPES.get(name)
             if mt is None:
                 raise FormatError(f"edges[{i}]: unknown message type {name!r}")
-            if not is_integer(n):
-                raise FormatError(f"edges[{i}]: by_type[{name!r}] must be an integer")
             by_type[mt] = n
-        edges.append(DgEdge(entry["source"], entry["sink"], float(prob), count, by_type))
+        edges.append(DgEdge(entry["source"], entry["sink"], entry.get("probability"),
+                            entry.get("count", 0), by_type))
 
     try:
         normalization = Normalization(doc.get("normalization", "none"))
     except ValueError:
         raise FormatError(f"unknown normalization {doc.get('normalization')!r}")
     grand_total = doc.get("grand_total", sum(e.count for e in edges))
-    if not is_integer(grand_total):
-        raise FormatError("'grand_total' must be an integer")
-
     return DependencyGraph(tuple(nodes), tuple(edges), normalization, grand_total)
 
 

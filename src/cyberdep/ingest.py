@@ -93,12 +93,13 @@ def is_number(value) -> bool:
     return isinstance(value, float)
 
 
-_MESSAGE_TYPES = {mt.value: mt for mt in Dnp3MessageType}
+#: Wire name -> modeled function code; the one lookup of the four names.
+MODELED_TYPES = {mt.value: mt for mt in DNP3_SYSCALLS}
 
 
 def parse_message_type(value: str) -> Dnp3MessageType:
     """Map a wire string to a message type; anything unknown is OTHER."""
-    return _MESSAGE_TYPES.get(value, Dnp3MessageType.OTHER)
+    return MODELED_TYPES.get(value, Dnp3MessageType.OTHER)
 
 
 class PacketRecord(NamedTuple):

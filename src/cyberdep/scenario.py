@@ -34,10 +34,16 @@ class ScenarioRun(Record):
     def __init__(
         self, scenario: ScenarioKind, run_id: int, capture_ref: str, graph: DependencyGraph
     ):
+        if not isinstance(scenario, ScenarioKind):
+            raise ValidationError(f"scenario must be a ScenarioKind, got {scenario!r}")
         if not is_integer(run_id):
             raise ValidationError(f"run_id must be an integer, got {run_id!r}")
         if run_id < 1:
             raise ValidationError(f"run_id must be positive, got {run_id}")
+        if not isinstance(capture_ref, str):
+            raise ValidationError(f"capture_ref must be a string, got {capture_ref!r}")
+        if not isinstance(graph, DependencyGraph):
+            raise ValidationError(f"graph must be a DependencyGraph, got {type(graph).__name__}")
         store(self, "scenario", scenario)
         store(self, "run_id", run_id)
         store(self, "capture_ref", capture_ref)

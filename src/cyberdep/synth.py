@@ -23,7 +23,7 @@ from bisect import bisect_right
 from typing import BinaryIO
 
 from .errors import FormatError, ValidationError
-from .ingest import DNP3_SYSCALLS, Dnp3MessageType, is_integer, is_number, parse_message_type
+from .ingest import DNP3_SYSCALLS, MODELED_TYPES, Dnp3MessageType, is_integer, is_number
 from .ingest import read_json
 from .record import Record, store
 from .scenario import SIGNATURES, ScenarioKind
@@ -48,7 +48,8 @@ class TrafficProfile(Record):
     """Generative description of one scenario's traffic shape.
 
     ``weights`` maps device names to nonnegative rate weights; ``message_mix``
-    defaults to a copy of ``DEFAULT_MESSAGE_MIX``.
+    defaults to ``DEFAULT_MESSAGE_MIX``. Both are stored as copies with float
+    values, so integer and float weights draw the same traffic.
     """
 
     __slots__ = ("scenario", "weights", "message_mix", "n_messages", "seed", "noise_fraction")
@@ -59,7 +60,9 @@ class TrafficProfile(Record):
         noise_fraction: float = 0.0,
     ):
         if message_mix is None:
-            message_mix = dict(DEFAULT_MESSAGE_MIX)
+            message_mix = DEFAULT_MESSAGE_MIX
+        if not isinstance(scenario, ScenarioKind):
+            raise ValidationError(f"scenario must be a ScenarioKind, got {scenario!r}")
         if not weights:
             raise ValidationError("profile needs at least one weighted device")
         for name, w in weights.items():
@@ -93,8 +96,8 @@ class TrafficProfile(Record):
         if not 0.0 <= noise_fraction < 1.0:
             raise ValidationError("noise_fraction must be in [0, 1)")
         store(self, "scenario", scenario)
-        store(self, "weights", weights)
-        store(self, "message_mix", message_mix)
+        store(self, "weights", {name: float(w) for name, w in weights.items()})
+        store(self, "message_mix", {mt: float(v) for mt, v in message_mix.items()})
         store(self, "n_messages", n_messages)
         store(self, "seed", seed)
         store(self, "noise_fraction", noise_fraction)
@@ -215,36 +218,19 @@ def load_profile(stream: BinaryIO | bytes) -> TrafficProfile:
         raise FormatError(f"unknown scenario {doc.get('scenario')!r}")
 
     weights = doc.get("weights")
-    if not isinstance(weights, dict) or not all(map(is_number, weights.values())):
-        raise FormatError("'weights' must map device names to numbers")
+    if not isinstance(weights, dict):
+        raise FormatError("'weights' must be an object")
 
-    kwargs = {}
+    kwargs = {key: doc[key] for key in ("n_messages", "seed", "noise_fraction") if key in doc}
     if "message_mix" in doc:
         raw_mix = doc["message_mix"]
         if not isinstance(raw_mix, dict):
             raise FormatError("'message_mix' must be an object")
         mix = {}
         for key, value in raw_mix.items():
-            mt = parse_message_type(key)
-            if mt not in DNP3_SYSCALLS:
+            mt = MODELED_TYPES.get(key)
+            if mt is None:
                 raise FormatError(f"unknown message type in mix: {key!r}")
-            if not is_number(value):
-                raise FormatError(f"mix value for {key!r} must be a number")
-            mix[mt] = float(value)
+            mix[mt] = value
         kwargs["message_mix"] = mix
-    for key in ("n_messages", "seed"):
-        if key in doc:
-            if not is_integer(doc[key]):
-                raise FormatError(f"{key!r} must be an integer")
-            kwargs[key] = doc[key]
-    if "noise_fraction" in doc:
-        nf = doc["noise_fraction"]
-        if not is_number(nf):
-            raise FormatError("'noise_fraction' must be a number")
-        kwargs["noise_fraction"] = float(nf)
-
-    return TrafficProfile(
-        scenario=scenario,
-        weights={k: float(v) for k, v in weights.items()},
-        **kwargs,
-    )
+    return TrafficProfile(scenario, weights, **kwargs)

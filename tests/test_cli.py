@@ -5,7 +5,10 @@ import json
 import pytest
 
 from cyberdep.cli import main
+from cyberdep.depgraph import DependencyGraph
+from cyberdep.errors import ValidationError
 from cyberdep.graphio import graph_to_json_bytes, load_graph_json
+from cyberdep.scenario import ScenarioKind, ScenarioRun
 from conftest import INTRA_DEVICE_ROWS, jsonl_bytes, make_topology, equal_flow_rows
 
 
@@ -384,6 +387,24 @@ class TestCompare:
         manifest.write_text(json.dumps(doc + doc))
         assert main(["compare", "--in", str(manifest)]) == 1
         assert "duplicate run" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("run_id, message", [
+        ("1", "run_id must be an integer, got '1'"),
+        (True, "run_id must be an integer, got True"),
+        (None, "run_id must be an integer, got None"),
+        (0, "run_id must be positive, got 0"),
+    ])
+    def test_bad_run_id_is_the_records_error(self, tmp_path, capsys, run_id, message):
+        with pytest.raises(ValidationError) as direct:
+            ScenarioRun(ScenarioKind.BASELINE, run_id, "b1.jsonl", DependencyGraph((), ()))
+        assert str(direct.value) == message
+        manifest = self.make_manifest(tmp_path, [("b1.jsonl", 1, "baseline")])
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps(doc + [{**doc[0], "run_id": run_id}]))
+        capsys.readouterr()
+        assert main(["compare", "--in", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith(f"cyberdep compare: error: manifest[1]: {message}\n")
 
     def test_unknown_scenario_exits_1(self, tmp_path, capsys):
         path = tmp_path / "manifest.json"

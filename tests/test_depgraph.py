@@ -163,7 +163,8 @@ class TestCountFlows:
         assert counts.entries[("dev-01", "scada")] == {RESPOND: 1}
         assert counts.entries[("scada", "dev-02")] == {DO: 1}
         assert counts.grand_total == 4
-        assert counts.entry_total(("scada", "dev-01")) == 2
+        # grand_total sums every type of every entry
+        assert FlowCounts({("a", "b"): {READ: 2, DO: 3}, ("b", "a"): {RESPOND: 1}}).grand_total == 6
 
     def test_empty(self):
         assert count_flows([]).grand_total == 0
@@ -326,6 +327,12 @@ class TestGraphValidation:
     def test_number_types_checked(self, field, value, message):
         with pytest.raises(ValidationError, match=f"^edge a->b: {re.escape(message)}$"):
             DgEdge(**{"source": "a", "sink": "b", "probability": 0.5, field: value})
+
+    @pytest.mark.parametrize("grand_total", [2.5, 2.0, True, "2"])
+    def test_grand_total_must_be_an_integer(self, grand_total):
+        with pytest.raises(ValidationError) as exc:
+            DependencyGraph((), (), Normalization.NONE, grand_total)
+        assert str(exc.value) == f"grand_total must be an integer, got {grand_total!r}"
 
     def test_integer_probability_stored_as_float(self):
         edge = DgEdge("a", "b", 1, 2, {READ: 2})

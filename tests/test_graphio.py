@@ -90,23 +90,67 @@ class TestJson:
             (b"{}", "'nodes' and 'edges'"),
             ({"nodes": [{"role": "field"}], "edges": []}, "name"),
             ({"nodes": [{"name": "a", "role": "emperor"}], "edges": []}, "role"),
-            ({"nodes": [{"name": "a"}, {"name": "b"}],
-              "edges": [{"source": "a", "sink": "b"}]}, "probability"),
-            ({"nodes": [{"name": "a"}, {"name": "b"}],
-              "edges": [{"source": "a", "sink": "b", "probability": 0.1, "count": "x"}]},
-             "count"),
+            pytest.param({"nodes": [{"name": "a"}, {"name": "b"}],
+                          "edges": [{"source": "a", "sink": "b"}]},
+                         ValidationError("edge a->b: probability must be a number, got None"),
+                         id="doc5-probability"),
+            pytest.param({"nodes": [{"name": "a"}, {"name": "b"}],
+                          "edges": [{"source": "a", "sink": "b", "probability": 0.1,
+                                     "count": "x"}]},
+                         ValidationError("edge a->b: count must be an integer, got 'x'"),
+                         id="doc6-count"),
             ({"nodes": [{"name": "a"}, {"name": "b"}],
               "edges": [{"source": "a", "sink": "b", "probability": 0.1,
                          "by_type": {"cold_restart": 1}}]}, "message type"),
             ({"nodes": [], "edges": [], "normalization": "sideways"}, "normalization"),
-            ({"nodes": [], "edges": [], "grand_total": "many"}, "grand_total"),
+            pytest.param({"nodes": [], "edges": [], "grand_total": "many"},
+                         ValidationError("grand_total must be an integer, got 'many'"),
+                         id="doc9-grand_total"),
             ({"nodes": [{"name": "a", "role": ["field"]}], "edges": []}, "unknown role"),
         ],
     )
     def test_malformed_documents(self, doc, match):
+        """Shape errors are FormatErrors; value errors are the record's own, exactly."""
         payload = doc if isinstance(doc, bytes) else json.dumps(doc).encode()
-        with pytest.raises(FormatError, match=match):
-            load_graph_json(payload)
+        if isinstance(match, str):
+            with pytest.raises(FormatError, match=match):
+                load_graph_json(payload)
+        else:
+            with pytest.raises(type(match)) as exc:
+                load_graph_json(payload)
+            assert str(exc.value) == str(match)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"count": 2.5}, "edge a->b: count must be an integer, got 2.5"),
+        ({"count": True}, "edge a->b: count must be an integer, got True"),
+        ({"by_type": {"read": 1.0}}, "edge a->b: by_type['read'] must be an integer, got 1.0"),
+        ({"by_type": {"response": "1"}},
+         "edge a->b: by_type['response'] must be an integer, got '1'"),
+        ({"probability": "0.5"}, "edge a->b: probability must be a number, got '0.5'"),
+        ({"probability": None}, "edge a->b: probability must be a number, got None"),
+        pytest.param({"probability": 10**400}, f"edge a->b: probability {10**400} outside [0, 1]",
+                     id="probability-past-float"),
+    ])
+    def test_edge_value_errors_are_the_records(self, fields, message):
+        edge = {"source": "a", "sink": "b", "probability": 0.5, "count": 1, **fields}
+        doc = {"nodes": [{"name": "a"}, {"name": "b"}], "edges": [edge]}
+        with pytest.raises(ValidationError) as via_doc:
+            load_graph_json(json.dumps(doc).encode())
+        by_type = {Dnp3MessageType(k): n for k, n in edge.pop("by_type", {}).items()}
+        with pytest.raises(ValidationError) as direct:
+            DgEdge(**edge, by_type=by_type)
+        assert type(via_doc.value) is type(direct.value)
+        assert str(via_doc.value) == str(direct.value) == message
+
+    @pytest.mark.parametrize("grand_total", [2.5, True, "2"])
+    def test_grand_total_error_is_the_records(self, grand_total):
+        doc = {"nodes": [], "edges": [], "grand_total": grand_total}
+        with pytest.raises(ValidationError) as via_doc:
+            load_graph_json(json.dumps(doc).encode())
+        with pytest.raises(ValidationError) as direct:
+            DependencyGraph((), (), Normalization.NONE, grand_total)
+        assert type(via_doc.value) is type(direct.value)
+        assert str(via_doc.value) == str(direct.value)
 
     def test_invariants_revalidated_on_load(self):
         # load must reject what the constructor rejects

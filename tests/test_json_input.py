@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import cyberdep
 from cyberdep.cli import main
-from cyberdep.errors import CyberDepError, FormatError
+from cyberdep.errors import CyberDepError, FormatError, ValidationError
 from cyberdep.graphio import graph_to_json_bytes, load_graph_json
 from cyberdep.ingest import parse_packet_log, read_json
 from cyberdep.synth import load_profile
@@ -82,13 +82,18 @@ def test_documents_keep_json_loads_encodings(encoding):
     assert load_topology(io.BytesIO(data)).scada_master.name == "mästare"
 
 
-def test_huge_integer_that_no_float_holds_is_a_format_error(sample_graph):
+def test_huge_integer_that_no_float_holds_is_rejected(sample_graph):
     doc = json.loads(graph_to_json_bytes(sample_graph))
-    doc["edges"][0]["probability"] = 10**400
-    with pytest.raises(FormatError, match="numeric 'probability'"):
+    edge = doc["edges"][0]
+    edge["probability"] = 10**400
+    with pytest.raises(ValidationError) as exc:
         load_graph_json(json.dumps(doc).encode())
-    with pytest.raises(FormatError, match="'weights' must map"):
+    assert str(exc.value) == (
+        f"edge {edge['source']}->{edge['sink']}: probability {10**400} outside [0, 1]"
+    )
+    with pytest.raises(ValidationError) as exc:
         load_profile(b'{"scenario": "baseline", "weights": {"gen-1": 1%s}}' % (b"0" * 400))
+    assert str(exc.value) == "weight for 'gen-1' must be a number"
 
 
 # Fragments that push arbitrary bytes toward the decoder's edge cases.

@@ -87,6 +87,18 @@ class TestScenarioRun:
             ScenarioRun(ScenarioKind.BASELINE, run_id, "x", star_graph(BASE))
         assert str(exc.value) == f"run_id must be an integer, got {run_id!r}"
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("scenario", "baseline", "scenario must be a ScenarioKind, got 'baseline'"),
+        ("capture_ref", 5, "capture_ref must be a string, got 5"),
+        ("graph", {}, "graph must be a DependencyGraph, got dict"),
+    ])
+    def test_field_types_checked(self, field, value, message):
+        fields = {"scenario": ScenarioKind.BASELINE, "run_id": 1, "capture_ref": "x",
+                  "graph": star_graph(BASE)}
+        with pytest.raises(ValidationError) as exc:
+            ScenarioRun(**{**fields, field: value})
+        assert str(exc.value) == message
+
     def test_key(self):
         r = run(ScenarioKind.DOS_ONLY, 2, DOS)
         assert r.key == (ScenarioKind.DOS_ONLY, 2)

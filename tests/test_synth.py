@@ -88,6 +88,11 @@ class TestProfileValidation:
         with pytest.raises(ValidationError, match="n_messages"):
             TrafficProfile(ScenarioKind.BASELINE, {"dev-01": 1.0}, n_messages=-5)
 
+    def test_scenario_must_be_a_scenario_kind(self):
+        with pytest.raises(ValidationError) as exc:
+            TrafficProfile("baseline", {"dev-01": 1.0})
+        assert str(exc.value) == "scenario must be a ScenarioKind, got 'baseline'"
+
     @pytest.mark.parametrize("kwargs, message", [
         ({"n_messages": 2.5}, "n_messages must be an integer"),
         ({"n_messages": True}, "n_messages must be an integer"),
@@ -290,17 +295,66 @@ class TestLoadProfile:
             (b"[]", "json object"),
             (b'{"scenario": "typhoon", "weights": {"d": 1}}', "scenario"),
             (b'{"scenario": "baseline"}', "weights"),
-            (b'{"scenario": "baseline", "weights": {"d": true}}', "weights"),
+            pytest.param(b'{"scenario": "baseline", "weights": {"d": true}}',
+                         ValidationError("weight for 'd' must be a number"),
+                         id='{"scenario": "baseline", "weights": {"d": true}}-weights'),
             (b'{"scenario": "baseline", "weights": {"d": 1}, "message_mix": {"zap": 1}}',
              "message type"),
-            (b'{"scenario": "baseline", "weights": {"d": 1}, "seed": "x"}', "seed"),
-            (b'{"scenario": "baseline", "weights": {"d": 1}, "noise_fraction": "x"}',
-             "noise_fraction"),
+            pytest.param(b'{"scenario": "baseline", "weights": {"d": 1}, "seed": "x"}',
+                         ValidationError("seed must be an integer"),
+                         id='{"scenario": "baseline", "weights": {"d": 1}, "seed": "x"}-seed'),
+            pytest.param(b'{"scenario": "baseline", "weights": {"d": 1}, "noise_fraction": "x"}',
+                         ValidationError("noise_fraction must be a number"),
+                         id='{"scenario": "baseline", "weights": {"d": 1}, "noise_fraction": "x"}'
+                            '-noise_fraction'),
         ],
     )
     def test_malformed(self, doc, match):
-        with pytest.raises(FormatError, match=match):
-            load_profile(doc)
+        """Shape errors are FormatErrors; value errors are the record's own, exactly."""
+        if isinstance(match, str):
+            with pytest.raises(FormatError, match=match):
+                load_profile(doc)
+        else:
+            with pytest.raises(type(match)) as exc:
+                load_profile(doc)
+            assert str(exc.value) == str(match)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"weights": {"d": "1"}}, "weight for 'd' must be a number"),
+        ({"weights": {"d": 10**400}}, "weight for 'd' must be a number"),
+        ({"message_mix": {"read": "1"}}, "mix value for 'read' must be a number"),
+        ({"n_messages": 2.5}, "n_messages must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"noise_fraction": "0.1"}, "noise_fraction must be a number"),
+    ])
+    def test_value_errors_are_the_records(self, fields, message):
+        doc = {"scenario": "baseline", "weights": {"d": 1}, **fields}
+        with pytest.raises(ValidationError) as via_doc:
+            load_profile(json.dumps(doc).encode())
+        kwargs = {key: value for key, value in doc.items() if key != "scenario"}
+        if "message_mix" in kwargs:
+            kwargs["message_mix"] = {Dnp3MessageType(k): v for k, v in doc["message_mix"].items()}
+        with pytest.raises(ValidationError) as direct:
+            TrafficProfile(ScenarioKind.BASELINE, **kwargs)
+        assert type(via_doc.value) is type(direct.value)
+        assert str(via_doc.value) == str(direct.value) == message
+
+    @pytest.mark.parametrize("weights, mix, digest", [
+        ({"gen-1": 1, "gen-2": 2, "gen-3": 1, "load-5": 5, "load-6": 4, "load-8": 0},
+         {"read": 0, "response": 1, "request_link_status": 0, "direct_operate": 0},
+         "2b493a787ba1ea1f035996ea06a87f2ffdbad99c68929f67c851da7e5a4386ea"),
+        ({"gen-1": 2**60, "gen-2": 2**60 + 1, "gen-3": 2**53 + 1, "load-5": 5 * 2**60 + 3,
+          "load-6": 5 * 2**60, "load-8": 2**54 + 1},
+         {"read": 0.5, "response": 0.5},
+         "31751cb932ca4730af9bee0d075f03860892b2cc6ffd0957a3a3f365dc498d29"),
+    ], ids=["small", "past-2**53"])
+    def test_integer_weights_keep_their_bytes(self, wscc, weights, mix, digest):
+        """Pinned from when load_profile converted weights to float itself."""
+        doc = {"scenario": "dos_only", "weights": weights, "message_mix": mix,
+               "n_messages": 2000, "seed": 5, "noise_fraction": 0}
+        p = load_profile(json.dumps(doc).encode())
+        assert hashlib.sha256(generate(p, wscc)).hexdigest() == digest
+        assert all(type(w) is float for w in p.weights.values())
 
     def test_constructor_validation_still_applies(self):
         with pytest.raises(ValidationError, match="sum to 1"):
