@@ -27,7 +27,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import QueryError, ValidationError
 from .ingest import DNP3_SYSCALLS, CaptureWindow, Dnp3MessageType, IngestStats, RejectedLine
-from .ingest import is_integer, scan_packet_log
+from .ingest import count_packet_log, is_integer
 from .record import Record, store
 from .topology import DeviceRole, Topology, UnmappedReport
 
@@ -124,6 +124,10 @@ class DgNode(Record):
     __slots__ = ("name", "role")
 
     def __init__(self, name: str, role: DeviceRole = DeviceRole.OTHER):
+        if type(name) is not str and not isinstance(name, str):
+            raise ValidationError(f"node name must be a string, got {name!r}")
+        if type(role) is not DeviceRole:  # an enum with members has no subclasses
+            raise ValidationError(f"node {name!r}: role must be a DeviceRole, got {role!r}")
         store(self, "name", name)
         store(self, "role", role)
 
@@ -146,9 +150,13 @@ class DgEdge(Record):
         self, source: str, sink: str, probability: float, count: int = 0,
         by_type: Mapping[Dnp3MessageType, int] = _NO_TYPES,
     ):
+        # Exact types first: the isinstance checks are the slow path.
+        if type(source) is not str and not isinstance(source, str):
+            raise ValidationError(f"edge source must be a string, got {source!r}")
+        if type(sink) is not str and not isinstance(sink, str):
+            raise ValidationError(f"edge sink must be a string, got {sink!r}")
         if source == sink:
             raise ValidationError(f"self-edge not allowed: {source!r}")
-        # Exact types first: the isinstance checks are the slow path.
         if type(probability) is not float and not (
             is_integer(probability) or isinstance(probability, float)
         ):
@@ -466,17 +474,7 @@ def build_graph_from_lines(
     objects, so memory does not grow with their number. Rejected lines past
     the first ``_SHOWN_REJECTIONS`` are only counted.
     """
-    counts: dict[tuple[str, str, Dnp3MessageType], int] = {}
-    rejections: list[RejectedLine] = []
-    rejected = 0
-    for line_no, item in scan_packet_log(lines):
-        if isinstance(item, str):
-            rejected += 1
-            if rejected <= _SHOWN_REJECTIONS:
-                rejections.append(RejectedLine(line_no, item))
-        else:
-            key = item[1:]  # a plain dict counts faster than a Counter
-            counts[key] = counts.get(key, 0) + 1
+    counts, rejected, rejections = count_packet_log(lines, _SHOWN_REJECTIONS)
     parsed = sum(counts.values())
     stats = IngestStats(total=parsed + rejected, parsed=parsed, rejected=rejected)
-    return _build_from_counts(counts, topology, options, stats, tuple(rejections))
+    return _build_from_counts(counts, topology, options, stats, rejections)

@@ -170,6 +170,31 @@ def _validate_record(obj: dict, valid: set[str]) -> tuple[int, str, str, Dnp3Mes
     return ts, src, dst, message_type
 
 
+def _judge_line(raw: bytes, valid: set[str]) -> tuple | str | None:
+    """The strict path: ``(ts_us, src, dst, message_type)``, a rejection reason, or None if blank.
+
+    ``valid`` is the caller's memo of checked addresses.
+    """
+    if not raw.strip():
+        return None
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return "invalid utf-8"
+    try:
+        if text.startswith("\ufeff"):  # as json.loads(str) refuses it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", "", 0)
+        obj = _DECODER.decode(text)
+    except (ValueError, RecursionError) as exc:
+        return f"invalid json: {_json_failure(exc)}"
+    if not isinstance(obj, dict):
+        return "not a json object"
+    try:
+        return _validate_record(obj, valid)
+    except ValueError as exc:
+        return str(exc)
+
+
 def scan_packet_log(lines: Iterable[bytes]) -> Iterator[tuple[int, tuple | str]]:
     """Validate JSON Lines one at a time, keeping only a memo of valid addresses.
 
@@ -178,28 +203,60 @@ def scan_packet_log(lines: Iterable[bytes]) -> Iterator[tuple[int, tuple | str]]
     """
     valid: set[str] = set()
     for line_no, raw in enumerate(lines, start=1):
-        if not raw.strip():
+        item = _judge_line(raw, valid)
+        if item is not None:
+            yield line_no, item
+
+
+#: The compact line shape that synth and most capture writers emit. Every line it
+#: matches decodes to exactly these keys, with an integer ``ts_us`` >= 0 and strings
+#: that need no escapes, so its verdict depends only on the address, proto and fn groups.
+_CANONICAL_LINE = re.compile(
+    rb'\{"ts_us":(?:0|[1-9][0-9]{0,17}),"src":"([0-9.]{7,15})","dst":"([0-9.]{7,15})",'
+    rb'"proto":"([A-Za-z0-9_]*)"(?:,"dnp3_fn":"([a-z_]*)")?\}\r?\n?'
+)
+
+
+def count_packet_log(
+    lines: Iterable[bytes], shown: int
+) -> tuple[dict[tuple[str, str, Dnp3MessageType], int], int, tuple[RejectedLine, ...]]:
+    """Count the valid lines by ``(src, dst, message_type)``, as ``scan_packet_log`` judges them.
+
+    Returns the counts, the number of rejected lines and the first ``shown``
+    rejections. A canonical line whose addresses and (proto, fn) pair the
+    strict path has already accepted is counted from two memos, which grow
+    with those distinct fields, not with lines; every other line takes the
+    strict path, whose verdicts fill the memos.
+    """
+    counts: dict[tuple[str, str, Dnp3MessageType], int] = {}
+    addrs: dict[bytes, str] = {}
+    kinds: dict[tuple[bytes, bytes | None], Dnp3MessageType] = {}
+    valid: set[str] = set()
+    rejections: list[RejectedLine] = []
+    rejected = 0
+    canonical = _CANONICAL_LINE.fullmatch
+    for line_no, raw in enumerate(lines, start=1):
+        m = canonical(raw)
+        if m is not None:
+            s, d, proto, fn = m.groups()
+            src, dst, kind = addrs.get(s), addrs.get(d), kinds.get((proto, fn))
+            if src is not None and dst is not None and kind is not None and s != d:
+                key = (src, dst, kind)
+                counts[key] = counts.get(key, 0) + 1
+                continue
+        item = _judge_line(raw, valid)
+        if item is None:
             continue
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError:
-            yield line_no, "invalid utf-8"
+        if type(item) is str:
+            rejected += 1
+            if rejected <= shown:
+                rejections.append(RejectedLine(line_no, item))
             continue
-        try:
-            if text.startswith("\ufeff"):  # as json.loads(str) refuses it
-                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", "", 0)
-            obj = _DECODER.decode(text)
-        except (ValueError, RecursionError) as exc:
-            yield line_no, f"invalid json: {_json_failure(exc)}"
-            continue
-        if not isinstance(obj, dict):
-            yield line_no, "not a json object"
-            continue
-        try:
-            item = _validate_record(obj, valid)
-        except ValueError as exc:
-            item = str(exc)
-        yield line_no, item
+        key = item[1:]
+        if m is not None:
+            addrs[s], addrs[d], kinds[proto, fn] = key
+        counts[key] = counts.get(key, 0) + 1
+    return counts, rejected, tuple(rejections)
 
 
 def parse_packet_log(stream: BinaryIO | bytes, source_label: str = "") -> CaptureWindow:

@@ -20,6 +20,7 @@ import itertools
 import math
 import random
 from bisect import bisect_right
+from collections.abc import Mapping
 from typing import BinaryIO
 
 from .errors import FormatError, ValidationError
@@ -63,6 +64,9 @@ class TrafficProfile(Record):
             message_mix = DEFAULT_MESSAGE_MIX
         if not isinstance(scenario, ScenarioKind):
             raise ValidationError(f"scenario must be a ScenarioKind, got {scenario!r}")
+        for key, value in (("weights", weights), ("message_mix", message_mix)):
+            if not isinstance(value, Mapping):
+                raise ValidationError(f"{key} must be a mapping, got {type(value).__name__}")
         if not weights:
             raise ValidationError("profile needs at least one weighted device")
         for name, w in weights.items():

@@ -328,6 +328,35 @@ class TestGraphValidation:
         with pytest.raises(ValidationError, match=f"^edge a->b: {re.escape(message)}$"):
             DgEdge(**{"source": "a", "sink": "b", "probability": 0.5, field: value})
 
+    @pytest.mark.parametrize("args, message", [
+        ((5, "b", 0.5), "edge source must be a string, got 5"),
+        ((None, "b", 0.5), "edge source must be a string, got None"),
+        (("a", b"b", 0.5), "edge sink must be a string, got b'b'"),
+        ((5, 5, 0.5), "edge source must be a string, got 5"),
+    ])
+    def test_endpoint_names_must_be_strings(self, args, message):
+        with pytest.raises(ValidationError) as exc:
+            DgEdge(*args)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("args, message", [
+        ((5,), "node name must be a string, got 5"),
+        ((("a",),), "node name must be a string, got ('a',)"),
+        (("a", "field"), "node 'a': role must be a DeviceRole, got 'field'"),
+        (("a", None), "node 'a': role must be a DeviceRole, got None"),
+    ])
+    def test_node_name_and_role_types_checked(self, args, message):
+        with pytest.raises(ValidationError) as exc:
+            DgNode(*args)
+        assert str(exc.value) == message
+
+    def test_string_subclass_names_accepted(self):
+        class Name(str):
+            pass
+
+        node, edge = DgNode(Name("a"), DeviceRole.SCADA_MASTER), DgEdge(Name("a"), Name("b"), 0.5)
+        assert (node.name, edge.key) == ("a", ("a", "b"))
+
     @pytest.mark.parametrize("grand_total", [2.5, 2.0, True, "2"])
     def test_grand_total_must_be_an_integer(self, grand_total):
         with pytest.raises(ValidationError) as exc:

@@ -94,6 +94,18 @@ class TestProfileValidation:
         assert str(exc.value) == "scenario must be a ScenarioKind, got 'baseline'"
 
     @pytest.mark.parametrize("kwargs, message", [
+        ({"weights": [("dev-01", 1.0)]}, "weights must be a mapping, got list"),
+        ({"weights": None}, "weights must be a mapping, got NoneType"),
+        ({"message_mix": [(Dnp3MessageType.READ, 1.0)]}, "message_mix must be a mapping, got list"),
+        ({"message_mix": "read"}, "message_mix must be a mapping, got str"),
+    ])
+    def test_weights_and_mix_must_be_mappings(self, kwargs, message):
+        kwargs = {"weights": {"dev-01": 1.0}, **kwargs}
+        with pytest.raises(ValidationError) as exc:
+            TrafficProfile(ScenarioKind.BASELINE, **kwargs)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("kwargs, message", [
         ({"n_messages": 2.5}, "n_messages must be an integer"),
         ({"n_messages": True}, "n_messages must be an integer"),
         ({"seed": 1.5}, "seed must be an integer"),
