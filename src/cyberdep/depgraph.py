@@ -29,7 +29,7 @@ from .errors import QueryError, ValidationError
 from .ingest import DNP3_SYSCALLS, CaptureWindow, Dnp3MessageType, IngestStats, RejectedLine
 from .ingest import count_packet_log, is_integer
 from .record import Record, store
-from .topology import DeviceRole, Topology, UnmappedReport
+from .topology import DeviceRole, Topology, UnmappedReport, is_xml_name
 
 PROBABILITY_SUM_TOL = 1e-9
 #: Rejected lines a build keeps, as ``build -v`` lists; the rest are only counted.
@@ -52,22 +52,16 @@ def format_probability(p: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-class FlowCounts:
+class FlowCounts(NamedTuple):
     """Per (source device, sink device) message counts with a per-type breakdown.
 
     ``dropped`` counts the mapped records left out of ``entries``, so
     mapped = grand_total + dropped.
     """
 
-    __slots__ = ("entries", "window_label", "dropped")
-
-    def __init__(
-        self, entries: dict[tuple[str, str], dict[Dnp3MessageType, int]], window_label: str = "",
-        dropped: int = 0,
-    ):
-        self.entries = entries
-        self.window_label = window_label
-        self.dropped = dropped
+    entries: dict[tuple[str, str], dict[Dnp3MessageType, int]]
+    window_label: str = ""
+    dropped: int = 0
 
     @property
     def grand_total(self) -> int:
@@ -124,8 +118,8 @@ class DgNode(Record):
     __slots__ = ("name", "role")
 
     def __init__(self, name: str, role: DeviceRole = DeviceRole.OTHER):
-        if type(name) is not str and not isinstance(name, str):
-            raise ValidationError(f"node name must be a string, got {name!r}")
+        if not is_xml_name(name):
+            raise ValidationError(f"node name must be a string XML can represent, got {name!r}")
         if type(role) is not DeviceRole:  # an enum with members has no subclasses
             raise ValidationError(f"node {name!r}: role must be a DeviceRole, got {role!r}")
         store(self, "name", name)
@@ -133,6 +127,7 @@ class DgNode(Record):
 
 
 _RLS, _READ, _RESPOND, _OPERATE = DNP3_SYSCALLS
+_MODELED = frozenset(DNP3_SYSCALLS)
 _NO_TYPES: Mapping[Dnp3MessageType, int] = MappingProxyType({})  # read, never stored
 
 
@@ -140,8 +135,8 @@ class DgEdge(Record):
     """Directed dependency source -> sink with its probability weight.
 
     ``by_type`` is the security context: the per-message-type count breakdown
-    behind this edge. It is normalized to always carry the four modeled
-    function codes. The hash ignores it; equality does not.
+    behind this edge. Its keys must be modeled function codes, and it is
+    normalized to carry all four. The hash ignores it; equality does not.
     """
 
     __slots__ = ("source", "sink", "probability", "count", "by_type")
@@ -171,6 +166,9 @@ class DgEdge(Record):
             raise ValidationError(f"edge {source}->{sink}: count must be an integer, got {count!r}")
         if count < 0:
             raise ValidationError(f"edge {source}->{sink}: negative count")
+        if not _MODELED.issuperset(by_type):
+            bad = next(mt for mt in by_type if mt not in _MODELED)
+            raise ValidationError(f"edge {source}->{sink}: unknown message type {bad!r}")
         get = by_type.get
         canonical = {_RLS: get(_RLS, 0), _READ: get(_READ, 0), _RESPOND: get(_RESPOND, 0),
                      _OPERATE: get(_OPERATE, 0)}
@@ -424,9 +422,9 @@ def _build_from_counts(
     adds n to the unmapped records and n per unknown endpoint to ``by_addr``;
     one whose endpoints resolve to the same device adds n to ``scada_dropped``.
     """
-    flows = FlowCounts({})
+    flows = FlowCounts({})  # no other name holds its entries, freed when the collapse replaces it
     unknown: Counter = Counter()
-    filtered_out, unmapped = stats.filtered_out, 0
+    filtered_out, unmapped, dropped = stats.filtered_out, 0, 0
     for (src_addr, dst_addr, message_type), n in counts.items():
         if message_type not in DNP3_SYSCALLS:
             filtered_out += n
@@ -439,11 +437,12 @@ def _build_from_counts(
                     unknown[addr] += n
             continue
         if src is dst:  # traffic inside one device is no dependency
-            flows.dropped += n
+            dropped += n
             continue
         by_type = flows.entries.setdefault((src.name, dst.name), {})
         by_type[message_type] = by_type.get(message_type, 0) + n
 
+    flows = flows._replace(dropped=dropped)
     if options.scada_collapse:
         flows, _ = collapse_to_scada(flows, topology)
     graph = edge_probabilities(flows, options.normalization, topology.roles())

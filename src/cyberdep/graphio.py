@@ -11,6 +11,10 @@ Graph JSON schema:
                 "count": <int>, "by_type": {"<fn>": <int>, ...}}, ...],
      "normalization": "global|per-sink|none",
      "grand_total": <int>}
+
+``load_graph_json`` checks only the document's shape and maps the role and
+message-type names it knows; ``DgNode``, ``DgEdge`` and ``DependencyGraph``
+check every value, so a node name is always one that every format can carry.
 """
 
 import json
@@ -20,7 +24,7 @@ from typing import BinaryIO
 from .depgraph import DependencyGraph, DgEdge, DgNode, Normalization, format_probability
 from .errors import FormatError
 from .ingest import DNP3_SYSCALLS, MODELED_TYPES, read_json
-from .topology import NON_XML_CHARS, DeviceRole, parse_role
+from .topology import DeviceRole, parse_role
 
 _BARE_DOT_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # DOT keywords are case-insensitive and must be quoted to be used as node ids.
@@ -66,30 +70,20 @@ def load_graph_json(stream: BinaryIO | bytes) -> DependencyGraph:
 
     nodes = []
     for i, entry in enumerate(doc["nodes"]):
-        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-            raise FormatError(f"nodes[{i}] needs a string 'name'")
-        role = parse_role(entry.get("role", "other"))
-        if role is None:
-            raise FormatError(f"node {entry['name']!r}: unknown role {entry.get('role')!r}")
-        nodes.append(DgNode(entry["name"], role))
+        if not isinstance(entry, dict):
+            raise FormatError(f"nodes[{i}] is not an object")
+        role = entry.get("role", "other")
+        nodes.append(DgNode(entry.get("name"), parse_role(role) or role))
 
     edges = []
     for i, entry in enumerate(doc["edges"]):
         if not isinstance(entry, dict):
             raise FormatError(f"edges[{i}] is not an object")
-        for key in ("source", "sink"):
-            if not isinstance(entry.get(key), str):
-                raise FormatError(f"edges[{i}] needs a string {key!r}")
         raw_types = entry.get("by_type", {})
         if not isinstance(raw_types, dict):
             raise FormatError(f"edges[{i}]: 'by_type' must be an object")
-        by_type = {}
-        for name, n in raw_types.items():
-            mt = MODELED_TYPES.get(name)
-            if mt is None:
-                raise FormatError(f"edges[{i}]: unknown message type {name!r}")
-            by_type[mt] = n
-        edges.append(DgEdge(entry["source"], entry["sink"], entry.get("probability"),
+        by_type = {MODELED_TYPES.get(name, name): n for name, n in raw_types.items()}
+        edges.append(DgEdge(entry.get("source"), entry.get("sink"), entry.get("probability"),
                             entry.get("count", 0), by_type))
 
     try:
@@ -141,12 +135,7 @@ _XML_ATTRIBUTE = str.maketrans(
 
 def graph_to_graphml(graph: DependencyGraph) -> bytes:
     """Render GraphML carrying role, probability, count, and a display label."""
-    ids = {}
-    for n in graph.nodes:
-        # Graphs loaded from JSON never passed load_topology's name check.
-        if not NON_XML_CHARS.isdisjoint(n.name):
-            raise FormatError(f"node {n.name!r} holds a character XML cannot represent")
-        ids[n.name] = n.name.translate(_XML_ATTRIBUTE)
+    ids = {n.name: n.name.translate(_XML_ATTRIBUTE) for n in graph.nodes}
     body = [_GRAPHML_NODE % (ids[n.name], n.role.value) for n in graph.nodes]
     body += [_GRAPHML_EDGE % (ids[e.source], ids[e.sink], e.probability, e.count,
                               format_probability(e.probability)) for e in graph.edges]

@@ -22,7 +22,7 @@ import json
 import re
 import sys
 from enum import Enum
-from typing import BinaryIO, Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Iterable, NamedTuple
 
 from .errors import FormatError
 
@@ -144,7 +144,7 @@ def _check_endpoints(src, dst) -> None:
 
 def _validate_record(obj: dict, valid: set[str]) -> tuple[int, str, str, Dnp3MessageType]:
     ts = obj.get("ts_us")
-    if not isinstance(ts, int) or isinstance(ts, bool):
+    if not is_integer(ts):
         raise ValueError("ts_us must be an integer")
     if ts < 0:
         raise ValueError("ts_us must be >= 0")
@@ -195,19 +195,6 @@ def _judge_line(raw: bytes, valid: set[str]) -> tuple | str | None:
         return str(exc)
 
 
-def scan_packet_log(lines: Iterable[bytes]) -> Iterator[tuple[int, tuple | str]]:
-    """Validate JSON Lines one at a time, keeping only a memo of valid addresses.
-
-    Yields ``(line_no, (ts_us, src, dst, message_type))`` per valid line and
-    ``(line_no, reason)`` per rejected one; whitespace-only lines yield nothing.
-    """
-    valid: set[str] = set()
-    for line_no, raw in enumerate(lines, start=1):
-        item = _judge_line(raw, valid)
-        if item is not None:
-            yield line_no, item
-
-
 #: The compact line shape that synth and most capture writers emit. Every line it
 #: matches decodes to exactly these keys, with an integer ``ts_us`` >= 0 and strings
 #: that need no escapes, so its verdict depends only on the address, proto and fn groups.
@@ -220,7 +207,7 @@ _CANONICAL_LINE = re.compile(
 def count_packet_log(
     lines: Iterable[bytes], shown: int
 ) -> tuple[dict[tuple[str, str, Dnp3MessageType], int], int, tuple[RejectedLine, ...]]:
-    """Count the valid lines by ``(src, dst, message_type)``, as ``scan_packet_log`` judges them.
+    """Count the valid lines by ``(src, dst, message_type)``, as ``parse_packet_log`` judges them.
 
     Returns the counts, the number of rejected lines and the first ``shown``
     rejections. A canonical line whose addresses and (proto, fn) pair the
@@ -272,10 +259,12 @@ def parse_packet_log(stream: BinaryIO | bytes, source_label: str = "") -> Captur
 
     records: list[PacketRecord] = []
     rejections: list[RejectedLine] = []
-    for line_no, item in scan_packet_log(stream):
+    valid: set[str] = set()
+    for line_no, raw in enumerate(stream, start=1):
+        item = _judge_line(raw, valid)
         if isinstance(item, str):
             rejections.append(RejectedLine(line_no, item))
-        else:
+        elif item is not None:
             records.append(PacketRecord(*item))
 
     records.sort(key=lambda r: r.ts_us)  # stable: ties keep line order

@@ -221,20 +221,10 @@ def load_profile(stream: BinaryIO | bytes) -> TrafficProfile:
     except ValueError:
         raise FormatError(f"unknown scenario {doc.get('scenario')!r}")
 
-    weights = doc.get("weights")
-    if not isinstance(weights, dict):
-        raise FormatError("'weights' must be an object")
-
     kwargs = {key: doc[key] for key in ("n_messages", "seed", "noise_fraction") if key in doc}
     if "message_mix" in doc:
         raw_mix = doc["message_mix"]
         if not isinstance(raw_mix, dict):
             raise FormatError("'message_mix' must be an object")
-        mix = {}
-        for key, value in raw_mix.items():
-            mt = MODELED_TYPES.get(key)
-            if mt is None:
-                raise FormatError(f"unknown message type in mix: {key!r}")
-            mix[mt] = value
-        kwargs["message_mix"] = mix
-    return TrafficProfile(scenario, weights, **kwargs)
+        kwargs["message_mix"] = {MODELED_TYPES.get(key, key): v for key, v in raw_mix.items()}
+    return TrafficProfile(scenario, doc.get("weights"), **kwargs)

@@ -5,8 +5,11 @@ The topology is an explicit JSON document, never inferred from traffic:
     {"devices": [{"name": "<str>", "role": "scada|field|router|other",
                   "substation": "<str|absent>", "addrs": ["<ipv4>", ...]}]}
 
-A ``substation`` must be a string when present; it is checked, not kept.
-Keys other than these are ignored.
+``load_topology`` checks only the document's shape (objects, lists, string
+``addrs`` and ``substation``); a ``substation`` is checked, not kept. Keys
+other than these are ignored. ``Topology`` owns every value rule: each name
+is a non-empty string XML can represent (``is_xml_name``), each role a
+``DeviceRole``, each address IPv4.
 
 A bundled fixture (``wscc9.topology.json``) models a 9-bus, three-substation
 test system with a control-center SCADA master, three generators, three
@@ -30,6 +33,11 @@ DEFAULT_TOPOLOGY_RESOURCE = "wscc9.topology.json"
 NON_XML_CHARS = frozenset(
     map(chr, [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), *range(0xD800, 0xE000)])
 ) | {"\ufffe", "\uffff"}
+
+
+def is_xml_name(value) -> bool:
+    """True for a string with no character of ``NON_XML_CHARS``, which every export can carry."""
+    return isinstance(value, str) and NON_XML_CHARS.isdisjoint(value)
 
 
 class DeviceRole(Enum):
@@ -58,14 +66,24 @@ class Device(NamedTuple):
 class Topology(Record):
     """Validated device inventory; immutable and safe for concurrent reads.
 
-    Construction enforces: unique device names, IPv4 addresses (as
-    ``ingest.IPV4_PATTERN`` defines them), address sets disjoint across
-    devices, and exactly one SCADA master.
+    Construction enforces: unique non-empty device names that XML can
+    represent, ``DeviceRole`` roles, IPv4 addresses (as ``ingest.IPV4_PATTERN``
+    defines them), address sets disjoint across devices, and exactly one
+    SCADA master.
     """
 
     __slots__ = ("devices", "_by_addr", "_by_name", "_master")
 
     def __init__(self, devices: tuple[Device, ...]):
+        for dev in devices:
+            if not (is_xml_name(dev.name) and dev.name):
+                raise ValidationError(
+                    f"device name must be a non-empty string XML can represent, got {dev.name!r}"
+                )
+            if type(dev.role) is not DeviceRole:  # an enum with members has no subclasses
+                raise ValidationError(
+                    f"device {dev.name!r}: role must be a DeviceRole, got {dev.role!r}"
+                )
         names = Counter(d.name for d in devices)
         dupes = sorted(n for n, c in names.items() if c > 1)
         if dupes:
@@ -112,7 +130,7 @@ class Topology(Record):
 
 
 def load_topology(stream: BinaryIO | bytes) -> Topology:
-    """Parse and validate a topology document."""
+    """Parse a topology document; ``Topology`` validates its values."""
     doc = read_json(stream, "topology")
     if not isinstance(doc, dict) or not isinstance(doc.get("devices"), list):
         raise FormatError("topology document must be an object with a 'devices' list")
@@ -121,21 +139,14 @@ def load_topology(stream: BinaryIO | bytes) -> Topology:
     for i, entry in enumerate(doc["devices"]):
         if not isinstance(entry, dict):
             raise FormatError(f"devices[{i}] is not an object")
-        name = entry.get("name")
-        if not isinstance(name, str) or not name:
-            raise FormatError(f"devices[{i}] needs a non-empty 'name'")
-        if not NON_XML_CHARS.isdisjoint(name):
-            raise FormatError(f"device {name!r} holds a character XML cannot represent")
-        role = parse_role(entry.get("role"))
-        if role is None:
-            raise FormatError(f"device {name!r} has unknown role {entry.get('role')!r}")
+        name, role = entry.get("name"), entry.get("role")
         addrs = entry.get("addrs", [])
         if not isinstance(addrs, list) or not all(isinstance(a, str) for a in addrs):
             raise FormatError(f"device {name!r}: 'addrs' must be a list of strings")
         substation = entry.get("substation")  # documented, checked, not used
         if substation is not None and not isinstance(substation, str):
             raise FormatError(f"device {name!r}: 'substation' must be a string")
-        devices.append(Device(name, role, frozenset(addrs)))
+        devices.append(Device(name, parse_role(role) or role, frozenset(addrs)))
 
     return Topology(tuple(devices))
 

@@ -1,9 +1,14 @@
 """End-to-end CLI behavior: subcommands, exit codes, artifact routing."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cyberdep
 from cyberdep.cli import main
 from cyberdep.depgraph import DependencyGraph
 from cyberdep.errors import ValidationError
@@ -116,8 +121,8 @@ class TestBuild:
         ))
         assert main(["build", "--in", str(capture_file), "--topo", str(topo)]) == 1
         assert capsys.readouterr().err == (
-            "cyberdep build: error: device 'scada\\x01' holds a character XML "
-            "cannot represent\n"
+            "cyberdep build: error: device name must be a non-empty string XML can represent, "
+            "got 'scada\\x01'\n"
         )
 
     @pytest.mark.parametrize("addr", ["banana", "10.0.0.010", '1.2.3.4"'])
@@ -217,6 +222,19 @@ class TestExport:
         bad.write_text("{]")
         assert main(["export", "--in", str(bad), "--format", "dot"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["export", "--format", "dot"],
+                                         ["query", "--target", "b"]])
+    def test_graph_name_xml_cannot_hold_exits_1(self, tmp_path, command):
+        graph = tmp_path / "g.json"
+        graph.write_text('{"nodes": [{"name": "a\\ud800"}, {"name": "b"}], "edges": '
+                         '[{"source": "a\\ud800", "sink": "b", "probability": 0.5, "count": 1}]}')
+        env = {**os.environ, "PYTHONPATH": str(Path(cyberdep.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-m", "cyberdep.cli", command[0], "--in", str(graph),
+                              *command[1:]], env=env, capture_output=True, timeout=60)
+        assert (run.returncode, run.stdout) == (1, b"")
+        assert run.stderr == (f"cyberdep {command[0]}: error: node name must be a string XML "
+                              "can represent, got 'a\\ud800'\n").encode()
 
 
 class TestQuery:

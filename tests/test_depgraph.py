@@ -340,8 +340,8 @@ class TestGraphValidation:
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("args, message", [
-        ((5,), "node name must be a string, got 5"),
-        ((("a",),), "node name must be a string, got ('a',)"),
+        ((5,), "node name must be a string XML can represent, got 5"),
+        ((("a",),), "node name must be a string XML can represent, got ('a',)"),
         (("a", "field"), "node 'a': role must be a DeviceRole, got 'field'"),
         (("a", None), "node 'a': role must be a DeviceRole, got None"),
     ])
@@ -349,6 +349,22 @@ class TestGraphValidation:
         with pytest.raises(ValidationError) as exc:
             DgNode(*args)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("name", ["a\x00", "a\x1f", "a\ud800", "\ufffe", "\uffff"])
+    def test_node_name_xml_cannot_hold_rejected(self, name):
+        with pytest.raises(ValidationError) as exc:
+            DgNode(name)
+        assert str(exc.value) == f"node name must be a string XML can represent, got {name!r}"
+
+    @pytest.mark.parametrize("by_type, key", [
+        ({Dnp3MessageType.OTHER: 2}, Dnp3MessageType.OTHER),
+        ({"read": 2}, "read"),
+        ({READ: 1, "cold_restart": 1}, "cold_restart"),
+    ])
+    def test_unmodeled_type_keys_rejected(self, by_type, key):
+        with pytest.raises(ValidationError) as exc:
+            DgEdge("a", "b", 0.5, 2, by_type)
+        assert str(exc.value) == f"edge a->b: unknown message type {key!r}"
 
     def test_string_subclass_names_accepted(self):
         class Name(str):

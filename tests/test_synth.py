@@ -306,12 +306,19 @@ class TestLoadProfile:
             (b"junk", "valid json"),
             (b"[]", "json object"),
             (b'{"scenario": "typhoon", "weights": {"d": 1}}', "scenario"),
-            (b'{"scenario": "baseline"}', "weights"),
+            pytest.param(b'{"scenario": "baseline"}',
+                         ValidationError("weights must be a mapping, got NoneType"),
+                         id='{"scenario": "baseline"}-weights'),
+            (b'{"scenario": "baseline", "weights": {"d": 1}, "message_mix": ["read"]}',
+             r"^'message_mix' must be an object$"),
             pytest.param(b'{"scenario": "baseline", "weights": {"d": true}}',
                          ValidationError("weight for 'd' must be a number"),
                          id='{"scenario": "baseline", "weights": {"d": true}}-weights'),
-            (b'{"scenario": "baseline", "weights": {"d": 1}, "message_mix": {"zap": 1}}',
-             "message type"),
+            pytest.param(
+                b'{"scenario": "baseline", "weights": {"d": 1}, "message_mix": {"zap": 1}}',
+                ValidationError("message mix may only contain the four DNP3 syscalls"),
+                id='{"scenario": "baseline", "weights": {"d": 1}, "message_mix": {"zap": 1}}'
+                   '-message type'),
             pytest.param(b'{"scenario": "baseline", "weights": {"d": 1}, "seed": "x"}',
                          ValidationError("seed must be an integer"),
                          id='{"scenario": "baseline", "weights": {"d": 1}, "seed": "x"}-seed'),
@@ -329,6 +336,7 @@ class TestLoadProfile:
         else:
             with pytest.raises(type(match)) as exc:
                 load_profile(doc)
+            assert type(exc.value) is type(match)
             assert str(exc.value) == str(match)
 
     @pytest.mark.parametrize("fields, message", [
@@ -338,6 +346,7 @@ class TestLoadProfile:
         ({"n_messages": 2.5}, "n_messages must be an integer"),
         ({"seed": True}, "seed must be an integer"),
         ({"noise_fraction": "0.1"}, "noise_fraction must be a number"),
+        ({"weights": ["d"]}, "weights must be a mapping, got list"),
     ])
     def test_value_errors_are_the_records(self, fields, message):
         doc = {"scenario": "baseline", "weights": {"d": 1}, **fields}

@@ -24,6 +24,7 @@ def topo_doc(devices, label="t"):
 
 SCADA = {"name": "master", "role": "scada", "addrs": ["10.0.0.10"]}
 BAD_ADDRESSES = ["banana", "10.0.0.010", '1.2.3.4"']
+BAD_NAME = "device name must be a non-empty string XML can represent, "
 
 
 def bad_address_message(addr):
@@ -69,8 +70,10 @@ class TestLoadTopology:
     @pytest.mark.parametrize("role", [None, 1, True, ["scada"], {"scada": 1}, "SCADA", "master"])
     def test_role_must_name_a_role(self, role):
         doc = topo_doc([{"name": "x", "role": role, "addrs": []}])
-        with pytest.raises(FormatError, match=re.escape(f"device 'x' has unknown role {role!r}")):
+        with pytest.raises(ValidationError) as exc:
             load_topology(doc)
+        assert type(exc.value) is ValidationError
+        assert str(exc.value) == f"device 'x': role must be a DeviceRole, got {role!r}"
 
     @pytest.mark.parametrize(
         "payload,match",
@@ -78,17 +81,28 @@ class TestLoadTopology:
             (b"not json", "valid json"),
             (b"[]", "'devices' list"),
             (b'{"devices": 5}', "'devices' list"),
-            (topo_doc([{"role": "scada", "addrs": []}]), "name"),
-            (topo_doc([{"name": "x", "role": "overlord", "addrs": []}]), "role"),
+            (topo_doc([{"role": "scada", "addrs": []}]),
+             ValidationError(f"{BAD_NAME}got None")),
+            (topo_doc([{"name": "x", "role": "overlord", "addrs": []}]),
+             ValidationError("device 'x': role must be a DeviceRole, got 'overlord'")),
             (topo_doc([{"name": "x", "role": "scada", "addrs": "10.0.0.1"}]), "addrs"),
             (topo_doc([{"name": "x", "role": "scada", "addrs": [], "substation": 3}]), "substation"),
-            (topo_doc([{"name": "a\x01", "role": "scada", "addrs": []}]), "'a\\\\x01' holds"),
-            (topo_doc([{"name": "a\ud800", "role": "scada", "addrs": []}]), "XML cannot"),
+            (topo_doc([{"name": "a\x01", "role": "scada", "addrs": []}]),
+             ValidationError(f"{BAD_NAME}got 'a\\x01'")),
+            (topo_doc([{"name": "a\ud800", "role": "scada", "addrs": []}]),
+             ValidationError(f"{BAD_NAME}got 'a\\ud800'")),
         ],
     )
     def test_malformed_documents(self, payload, match):
-        with pytest.raises(FormatError, match=match):
-            load_topology(payload)
+        """Shape errors are FormatErrors; value errors are the record's own, exactly."""
+        if isinstance(match, str):
+            with pytest.raises(FormatError, match=match):
+                load_topology(payload)
+        else:
+            with pytest.raises(type(match)) as exc:
+                load_topology(payload)
+            assert type(exc.value) is type(match)
+            assert str(exc.value) == str(match)
 
     @pytest.mark.parametrize("addr", BAD_ADDRESSES)
     def test_invalid_address_rejected(self, addr):
@@ -140,6 +154,20 @@ class TestTopologyInvariants:
         )
         with pytest.raises(ValidationError, match="found 2"):
             Topology(devs)
+
+    @pytest.mark.parametrize("name", [5, "", "a\x00", None])
+    def test_device_name_must_be_a_non_empty_xml_string(self, name):
+        devs = (Device("master", DeviceRole.SCADA_MASTER, frozenset({"10.0.0.1"})),
+                Device(name, DeviceRole.FIELD_DEVICE, frozenset({"10.0.0.2"})))
+        with pytest.raises(ValidationError) as exc:
+            Topology(devs)
+        assert str(exc.value) == f"{BAD_NAME}got {name!r}"
+
+    @pytest.mark.parametrize("role", ["scada", "field", None])
+    def test_role_must_be_a_device_role(self, role):
+        with pytest.raises(ValidationError) as exc:
+            Topology((Device("master", role, frozenset({"10.0.0.1"})),))
+        assert str(exc.value) == f"device 'master': role must be a DeviceRole, got {role!r}"
 
     def test_multihomed_device_resolves_on_every_addr(self):
         devs = (
