@@ -10,10 +10,12 @@ import json
 import sys
 from pathlib import Path
 
-from . import depgraph, graphio, ingest, scenario, synth, topology
+from . import depgraph, graphio, ingest, topology
 from .errors import CyberDepError, FormatError, ValidationError
 
 _FORMAT_SUFFIXES = {".json": "json", ".dot": "dot", ".gv": "dot", ".graphml": "graphml"}
+# synth.BUILTIN_PROFILES for the help text; synth and scenario load only for their commands.
+_BUILTIN_PROFILES = ("baseline", "dos_only", "no_mitigation", "with_mitigation", "dos_run3_variant")
 
 
 def _diag(message: str) -> None:
@@ -42,6 +44,7 @@ def _write_output(path_str: str | None, payload: bytes) -> None:
 
 
 def _tolerance(text: str) -> float:
+    from . import scenario
     try:
         value = float(text)
     except ValueError:
@@ -118,6 +121,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from . import synth
     topo = _load_topology(args)
     overrides = {"n_messages": args.n, "seed": args.seed, "noise_fraction": args.noise_fraction}
     overrides = {key: value for key, value in overrides.items() if value is not None}
@@ -128,7 +132,7 @@ def cmd_synth(args) -> int:
         if not path.is_file():
             raise FormatError(
                 f"profile {args.profile!r} is neither a built-in "
-                f"({', '.join(synth.BUILTIN_PROFILES)}) nor a file"
+                f"({', '.join(_BUILTIN_PROFILES)}) nor a file"
             )
         profile = synth.load_profile(path.read_bytes()).replace(**overrides)
     payload = synth.generate(profile, topo)
@@ -141,6 +145,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import scenario
     topo = _load_topology(args)
     manifest_path = _existing_file(args.input, "input")
     entries = ingest.read_json(manifest_path.read_bytes(), "manifest")
@@ -165,7 +170,8 @@ def cmd_compare(args) -> int:
         except ValidationError as exc:  # the record's text does not say which entry
             raise ValidationError(f"manifest[{i}]: {exc}")
 
-    report = scenario.compare(runs, uniformity_tol=args.uniformity_tol, topology=topo)
+    tol = scenario.DEFAULT_UNIFORMITY_TOL if args.uniformity_tol is None else args.uniformity_tol
+    report = scenario.compare(runs, uniformity_tol=tol, topology=topo)
     if args.verbose:
         for flag, devices in report.unchecked.items():
             _diag(f"  {flag}: n/a, topology lacks {', '.join(devices)}")
@@ -231,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument(
         "--profile",
         required=True,
-        help=f"built-in profile ({', '.join(synth.BUILTIN_PROFILES)}) or profile JSON path",
+        help=f"built-in profile ({', '.join(_BUILTIN_PROFILES)}) or profile JSON path",
     )
     p_synth.add_argument("--out", default=None, help="output path ('-' or absent: stdout)")
     p_synth.add_argument("--seed", type=int, default=None, help="RNG seed override")
@@ -260,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument(
         "--uniformity-tol",
         type=_tolerance,
-        default=scenario.DEFAULT_UNIFORMITY_TOL,
         help="tolerance for the baseline uniformity flag",
     )
     common(p_compare)

@@ -208,6 +208,8 @@ class DependencyGraph(Record):
         self, nodes: Iterable[DgNode], edges: Iterable[DgEdge],
         normalization: Normalization = Normalization.NONE, grand_total: int = 0,
     ):
+        if not isinstance(normalization, Normalization):
+            raise ValidationError(f"normalization must be a Normalization, got {normalization!r}")
         nodes = tuple(sorted(nodes, key=attrgetter("name")))
         edges = tuple(sorted(edges, key=attrgetter("source", "sink")))
 

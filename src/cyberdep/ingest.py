@@ -97,7 +97,7 @@ def is_number(value) -> bool:
 MODELED_TYPES = {mt.value: mt for mt in DNP3_SYSCALLS}
 
 
-def parse_message_type(value: str) -> Dnp3MessageType:
+def parse_message_type(value: str | None) -> Dnp3MessageType:
     """Map a wire string to a message type; anything unknown is OTHER."""
     return MODELED_TYPES.get(value, Dnp3MessageType.OTHER)
 
@@ -142,6 +142,11 @@ def _check_endpoints(src, dst) -> None:
         raise ValueError("src and dst must differ")
 
 
+def _message_type(proto: str, fn: str | None) -> Dnp3MessageType:
+    """``fn``'s type when ``proto`` is DNP3 in any case; OTHER otherwise."""
+    return parse_message_type(fn) if proto.lower() == "dnp3" else Dnp3MessageType.OTHER
+
+
 def _validate_record(obj: dict, valid: set[str]) -> tuple[int, str, str, Dnp3MessageType]:
     ts = obj.get("ts_us")
     if not is_integer(ts):
@@ -162,12 +167,7 @@ def _validate_record(obj: dict, valid: set[str]) -> tuple[int, str, str, Dnp3Mes
     fn = obj.get("dnp3_fn")
     if fn is not None and not isinstance(fn, str):
         raise ValueError("dnp3_fn must be a string when present")
-
-    if proto.lower() == "dnp3" and fn is not None:
-        message_type = parse_message_type(fn)
-    else:
-        message_type = Dnp3MessageType.OTHER
-    return ts, src, dst, message_type
+    return ts, src, dst, _message_type(proto, fn)
 
 
 def _judge_line(raw: bytes, valid: set[str]) -> tuple | str | None:
@@ -195,13 +195,13 @@ def _judge_line(raw: bytes, valid: set[str]) -> tuple | str | None:
         return str(exc)
 
 
-#: The compact line shape that synth and most capture writers emit. Every line it
-#: matches decodes to exactly these keys, with an integer ``ts_us`` >= 0 and strings
-#: that need no escapes, so its verdict depends only on the address, proto and fn groups.
-_CANONICAL_LINE = re.compile(
-    rb'\{"ts_us":(?:0|[1-9][0-9]{0,17}),"src":"([0-9.]{7,15})","dst":"([0-9.]{7,15})",'
-    rb'"proto":"([A-Za-z0-9_]*)"(?:,"dnp3_fn":"([a-z_]*)")?\}\r?\n?'
-)
+#: The compact line shape that synth and most capture writers emit, as a prefix (``match``)
+#: and the body after ``ts_us`` (``fullmatch``). Every line it matches decodes to exactly these
+#: keys, with an integer ``ts_us`` >= 0 and strings that need no escapes, so the body decides.
+_CANONICAL_PREFIX = re.compile(rb'\{"ts_us":(?:0|[1-9][0-9]{0,17}),')
+_CANONICAL_BODY = re.compile(rb'"src":"([0-9.]{7,15})","dst":"([0-9.]{7,15})",'
+                             rb'"proto":"([A-Za-z0-9_]*)"(?:,"dnp3_fn":"([a-z_]*)")?\}\r?\n?')
+_MAX_BODIES = 1024  # most bodies of a wide capture are singletons: memoizing them only costs RSS
 
 
 def count_packet_log(
@@ -210,25 +210,35 @@ def count_packet_log(
     """Count the valid lines by ``(src, dst, message_type)``, as ``parse_packet_log`` judges them.
 
     Returns the counts, the number of rejected lines and the first ``shown``
-    rejections. A canonical line whose addresses and (proto, fn) pair the
-    strict path has already accepted is counted from two memos, which grow
-    with those distinct fields, not with lines; every other line takes the
-    strict path, whose verdicts fill the memos.
+    rejections. A canonical body seen first is judged by the strict path's
+    address and message-type rules, without a JSON decode, and the first
+    ``_MAX_BODIES`` that pass are memoized. Every other line takes the strict path.
     """
     counts: dict[tuple[str, str, Dnp3MessageType], int] = {}
-    addrs: dict[bytes, str] = {}
-    kinds: dict[tuple[bytes, bytes | None], Dnp3MessageType] = {}
+    bodies: dict[bytes, tuple[str, str, Dnp3MessageType]] = {}
+    addrs: dict[bytes, str] = {}  # addresses the rule has passed, shared by the keys
     valid: set[str] = set()
     rejections: list[RejectedLine] = []
     rejected = 0
-    canonical = _CANONICAL_LINE.fullmatch
+    prefix, canonical = _CANONICAL_PREFIX.match, _CANONICAL_BODY.fullmatch
     for line_no, raw in enumerate(lines, start=1):
-        m = canonical(raw)
-        if m is not None:
-            s, d, proto, fn = m.groups()
-            src, dst, kind = addrs.get(s), addrs.get(d), kinds.get((proto, fn))
-            if src is not None and dst is not None and kind is not None and s != d:
-                key = (src, dst, kind)
+        p = prefix(raw)
+        if p is not None:
+            body = raw[p.end():]
+            key = bodies.get(body)
+            if key is None and (m := canonical(body)) is not None:
+                s, d, proto, fn = m.groups(b"")
+                src, dst = addrs.get(s), addrs.get(d)
+                try:
+                    if src is None or dst is None or src == dst:  # a pair the rule has not passed
+                        _check_endpoints(src := s.decode(), dst := d.decode())
+                        addrs[s], addrs[d] = src, dst
+                    key = (src, dst, _message_type(proto.decode(), fn.decode()))
+                except ValueError:
+                    pass  # the strict path gives the reason
+                if key is not None and len(bodies) < _MAX_BODIES:
+                    bodies[body] = key
+            if key is not None:
                 counts[key] = counts.get(key, 0) + 1
                 continue
         item = _judge_line(raw, valid)
@@ -240,8 +250,6 @@ def count_packet_log(
                 rejections.append(RejectedLine(line_no, item))
             continue
         key = item[1:]
-        if m is not None:
-            addrs[s], addrs[d], kinds[proto, fn] = key
         counts[key] = counts.get(key, 0) + 1
     return counts, rejected, tuple(rejections)
 

@@ -81,9 +81,9 @@ class TrafficProfile(Record):
             math.fsum(weights.values())  # generate() scales draws by it
         except OverflowError:
             raise ValidationError("profile weights sum past the largest float")
-        if set(message_mix) - set(DNP3_SYSCALLS):
-            raise ValidationError("message mix may only contain the four DNP3 syscalls")
         for mt, v in message_mix.items():
+            if mt not in DNP3_SYSCALLS:
+                raise ValidationError(f"unknown message type in mix: {mt!r}")
             if not is_number(v):
                 raise ValidationError(f"mix value for {mt.value!r} must be a number")
             if not 0 <= v < math.inf:

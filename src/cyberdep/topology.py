@@ -142,10 +142,10 @@ def load_topology(stream: BinaryIO | bytes) -> Topology:
         name, role = entry.get("name"), entry.get("role")
         addrs = entry.get("addrs", [])
         if not isinstance(addrs, list) or not all(isinstance(a, str) for a in addrs):
-            raise FormatError(f"device {name!r}: 'addrs' must be a list of strings")
+            raise FormatError(f"devices[{i}]: 'addrs' must be a list of strings")
         substation = entry.get("substation")  # documented, checked, not used
         if substation is not None and not isinstance(substation, str):
-            raise FormatError(f"device {name!r}: 'substation' must be a string")
+            raise FormatError(f"devices[{i}]: 'substation' must be a string")
         devices.append(Device(name, parse_role(role) or role, frozenset(addrs)))
 
     return Topology(tuple(devices))

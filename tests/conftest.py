@@ -17,14 +17,17 @@ def jsonl_bytes(rows) -> bytes:
 def make_topology(
     n_field: int, scada_name: str = "scada", master_addrs: tuple[str, ...] = ("10.9.0.1",)
 ) -> Topology:
-    """One SCADA master (by default on 10.9.0.1) plus n_field field devices on 10.9.1.0/24."""
+    """One SCADA master (by default on 10.9.0.1) plus n_field field devices.
+
+    Field devices take 10.9.1.1-254, then 10.9.2.1-254 and so on.
+    """
     devices = [Device(scada_name, DeviceRole.SCADA_MASTER, frozenset(master_addrs))]
     for i in range(n_field):
         devices.append(
             Device(
                 f"dev-{i + 1:02d}",
                 DeviceRole.FIELD_DEVICE,
-                frozenset({f"10.9.1.{i + 1}"}),
+                frozenset({f"10.9.{1 + i // 254}.{i % 254 + 1}"}),
             )
         )
     return Topology(tuple(devices))

@@ -216,25 +216,55 @@ def test_count_packet_log_equals_strict_scan(lines, final_newline):
         assert result == oracle == build_graph(window, TOPOLOGY, options)
 
 
+def _count_calls(monkeypatch, *names: str) -> Counter:
+    """Count the calls of the named ``ingest`` functions while the patch holds."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, _name=name, _f=getattr(ingest, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(ingest, name, counted)
+    return calls
+
+
+def _body(line: bytes) -> bytes:
+    return line.split(b",", 1)[1]
+
+
 def test_fast_path_fires(wscc, monkeypatch):
-    """On a synth capture the strict path judges each new field once, not each line."""
+    """On a clean synth capture no line takes the strict path, and each body is judged once."""
     profile = builtin_profile("dos_only", wscc, n_messages=2000, seed=5, noise_fraction=0.1)
     lines = generate(profile, wscc).splitlines(keepends=True)
     assert len(lines) >= 2000
-    objs = [json.loads(line) for line in lines]
-    fields = ({o[k] for o in objs for k in ("src", "dst")}
-              | {(o["proto"], o.get("dnp3_fn")) for o in objs})
+    bodies = {_body(line) for line in lines}
 
-    calls = 0
-    strict = ingest._judge_line
-
-    def counted(raw, valid):
-        nonlocal calls
-        calls += 1
-        return strict(raw, valid)
-
-    monkeypatch.setattr(ingest, "_judge_line", counted)
+    calls = _count_calls(monkeypatch, "_judge_line", "_check_endpoints", "_message_type")
     result = count_packet_log(lines, SHOWN)
-    assert 0 < calls <= len(fields) < len(lines) // 50
+    assert calls["_judge_line"] == 0
+    assert 0 < calls["_check_endpoints"] <= calls["_message_type"] == len(bodies) < len(lines) // 20
     monkeypatch.undo()
     assert result == strict_count(lines)
+
+
+def test_body_memo_bound(monkeypatch):
+    """Past ``_MAX_BODIES`` distinct bodies the counts still equal the strict scan's.
+
+    The memo takes no body past the bound, so each later body is judged again on
+    each sight.
+    """
+    topo = make_topology(2000)
+    profile = builtin_profile("baseline", topo, n_messages=3000, seed=11, noise_fraction=0.1)
+    lines = generate(profile, topo).splitlines(keepends=True)
+    names = sorted(MUTATIONS)
+    mixed = [MUTATIONS[names[i // 37 % len(names)]](line) if i % 37 == 0 else line
+             for i, line in enumerate(lines)]
+    assert count_packet_log(mixed, SHOWN) == strict_count(mixed)
+
+    bodies = list(dict.fromkeys(_body(line) for line in lines))
+    assert len(bodies) > ingest._MAX_BODIES
+    twice = [b'{"ts_us":%d,' % ts + body for ts, body in enumerate(bodies + bodies)]
+    calls = _count_calls(monkeypatch, "_judge_line", "_message_type")
+    result = count_packet_log(twice, SHOWN)
+    assert calls == {"_message_type": 2 * len(bodies) - ingest._MAX_BODIES}
+    monkeypatch.undo()
+    assert result == strict_count(twice)

@@ -474,3 +474,30 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([*command, "-v"])
         assert exc.value.code == 2
+
+
+class TestStartup:
+    def test_help_profile_names_are_synths(self):
+        from cyberdep import cli, synth
+        assert cli._BUILTIN_PROFILES == synth.BUILTIN_PROFILES
+
+    def test_graph_commands_load_neither_scenario_nor_synth(self, capture_file, topo_file,
+                                                             tmp_path):
+        graph = str(tmp_path / "g.json")
+        commands = [
+            ["build", "--in", str(capture_file), "--topo", str(topo_file), "--out", graph],
+            ["export", "--in", graph, "--format", "dot", "--out", str(tmp_path / "g.dot")],
+            ["query", "--in", graph, "--target", "scada", "--active", "dev-01"],
+        ]
+        script = (
+            "import sys\n"
+            "from cyberdep.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "print(sorted({'cyberdep.scenario', 'cyberdep.synth'} & set(sys.modules)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cyberdep.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "[]"

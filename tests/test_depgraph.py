@@ -480,6 +480,7 @@ class TestGraphValidation:
          "edge a->s: probability 0.5 != count share 0.25"),
         (Normalization.GLOBAL, [("a", "s", 0.5, 1), ("b", "s", 0.5, 3)], 4,
          "edge a->s: probability 0.5 != count share 0.25"),
+        ("global", [("a", "s", 1.0, 1)], 1, "normalization must be a Normalization, got 'global'"),
     ])
     def test_each_rule_names_its_breach(self, normalization, edges, grand_total, message):
         def edge(src, dst, p, count=0, typed=None):

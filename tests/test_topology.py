@@ -64,7 +64,7 @@ class TestLoadTopology:
     @pytest.mark.parametrize("substation", [3, ["sub-a"], {"id": "a"}, True, 1.5])
     def test_non_string_substation_rejected(self, substation):
         doc = topo_doc([{"name": "x", "role": "scada", "addrs": [], "substation": substation}])
-        with pytest.raises(FormatError, match=r"^device 'x': 'substation' must be a string$"):
+        with pytest.raises(FormatError, match=r"^devices\[0\]: 'substation' must be a string$"):
             load_topology(doc)
 
     @pytest.mark.parametrize("role", [None, 1, True, ["scada"], {"scada": 1}, "SCADA", "master"])
@@ -85,8 +85,17 @@ class TestLoadTopology:
              ValidationError(f"{BAD_NAME}got None")),
             (topo_doc([{"name": "x", "role": "overlord", "addrs": []}]),
              ValidationError("device 'x': role must be a DeviceRole, got 'overlord'")),
-            (topo_doc([{"name": "x", "role": "scada", "addrs": "10.0.0.1"}]), "addrs"),
-            (topo_doc([{"name": "x", "role": "scada", "addrs": [], "substation": 3}]), "substation"),
+            pytest.param(
+                topo_doc([{"name": "x", "role": "scada", "addrs": "10.0.0.1"}]),
+                r"^devices\[0\]: 'addrs' must be a list of strings$",
+                id='{"label": "t", "devices": [{"name": "x", "role": "scada", "addrs": "10.0.0.1"}]}'
+                   '-addrs'),
+            pytest.param(
+                topo_doc([{"name": "x", "role": "scada", "addrs": [], "substation": 3}]),
+                r"^devices\[0\]: 'substation' must be a string$",
+                id='{"label": "t", "devices": [{"name": "x", "role": "scada", "addrs": [], '
+                   '"substation": 3}]}-substation'),
+            (topo_doc([SCADA, {"addrs": "x"}]), r"^devices\[1\]: 'addrs' must be a list of strings$"),
             (topo_doc([{"name": "a\x01", "role": "scada", "addrs": []}]),
              ValidationError(f"{BAD_NAME}got 'a\\x01'")),
             (topo_doc([{"name": "a\ud800", "role": "scada", "addrs": []}]),
