@@ -70,7 +70,7 @@ def _build_from_capture(args, capture_path: str, topo: topology.Topology):
         normalization=depgraph.Normalization(args.normalization),
     )
     with _existing_file(capture_path, "input").open("rb") as lines:
-        result = depgraph.build_graph_from_lines(lines, topo, options)
+        result = depgraph.build_graph(lines, topo, options)
 
     retained = result.stats.parsed - result.stats.filtered_out
     _diag(

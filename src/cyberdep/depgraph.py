@@ -26,14 +26,12 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import QueryError, ValidationError
-from .ingest import DNP3_SYSCALLS, CaptureWindow, Dnp3MessageType, IngestStats, RejectedLine
+from .ingest import DNP3_SYSCALLS, Dnp3MessageType, IngestStats, RejectedLine
 from .ingest import count_packet_log, is_integer
 from .record import Record, store
 from .topology import DeviceRole, Topology, UnmappedReport, is_xml_name
 
 PROBABILITY_SUM_TOL = 1e-9
-#: Rejected lines a build keeps, as ``build -v`` lists; the rest are only counted.
-_SHOWN_REJECTIONS = 20
 
 
 class Normalization(Enum):
@@ -366,14 +364,14 @@ class ConditionalQuery(Record):
     """Probability query for one target node given active-parent evidence.
 
     ``evidence`` maps parent node names to active flags; parents absent from
-    the map are treated as inactive.
+    the map are treated as inactive. The query keeps its own copy of the map.
     """
 
     __slots__ = ("target", "evidence")
 
     def __init__(self, target: str, evidence: Mapping[str, bool] | None = None):
         store(self, "target", target)
-        store(self, "evidence", {} if evidence is None else evidence)
+        store(self, "evidence", {} if evidence is None else dict(evidence))
 
 
 def query(graph: DependencyGraph, q: ConditionalQuery) -> float:
@@ -401,7 +399,7 @@ class GraphOptions(NamedTuple):
 
 
 class BuildResult(NamedTuple):
-    """A built graph, its capture's stats and first rejected lines, and what each stage dropped.
+    """``build_graph``'s graph, the capture's stats and first rejected lines, and each drop.
 
     stats.parsed - stats.filtered_out - unmapped.records = graph.grand_total + scada_dropped.
     """
@@ -413,20 +411,21 @@ class BuildResult(NamedTuple):
     rejections: tuple[RejectedLine, ...]
 
 
-def _build_from_counts(
-    counts: Mapping[tuple[str, str, Dnp3MessageType], int], topology: Topology,
-    options: GraphOptions, stats: IngestStats, rejections: tuple[RejectedLine, ...],
+def build_graph(
+    lines: Iterable[bytes], topology: Topology, options: GraphOptions = GraphOptions()
 ) -> BuildResult:
-    """The one downstream half of a build: filter, map, count, collapse, normalize.
+    """The whole pipeline over a capture's byte lines: count, filter, map, collapse, normalize.
 
-    ``counts`` holds n records per (src_addr, dst_addr, message type) key, so
-    each key is filtered and resolved once. A key with an unknown endpoint
-    adds n to the unmapped records and n per unknown endpoint to ``by_addr``;
-    one whose endpoints resolve to the same device adds n to ``scada_dropped``.
+    Makes no record objects (a binary file iterates as lines), and filters and
+    resolves each (src_addr, dst_addr, message type) key once: its n records add
+    n to the unmapped records and n per unknown endpoint to ``by_addr``, or n to
+    ``scada_dropped`` when both endpoints are one device. Deterministic.
     """
+    counts, rejected, rejections = count_packet_log(lines)
+    parsed = sum(counts.values())
     flows = FlowCounts({})  # no other name holds its entries, freed when the collapse replaces it
     unknown: Counter = Counter()
-    filtered_out, unmapped, dropped = stats.filtered_out, 0, 0
+    filtered_out, unmapped, dropped = 0, 0, 0
     for (src_addr, dst_addr, message_type), n in counts.items():
         if message_type not in DNP3_SYSCALLS:
             filtered_out += n
@@ -443,39 +442,12 @@ def _build_from_counts(
             continue
         by_type = flows.entries.setdefault((src.name, dst.name), {})
         by_type[message_type] = by_type.get(message_type, 0) + n
+    del counts  # freed before the graph is built, which can reuse its memory
 
     flows = flows._replace(dropped=dropped)
     if options.scada_collapse:
         flows, _ = collapse_to_scada(flows, topology)
     graph = edge_probabilities(flows, options.normalization, topology.roles())
-    return BuildResult(graph, stats._replace(filtered_out=filtered_out),
-                       UnmappedReport(unmapped, dict(unknown)), flows.dropped,
-                       rejections[:_SHOWN_REJECTIONS])
-
-
-def build_graph(
-    window: CaptureWindow,
-    topology: Topology,
-    options: GraphOptions = GraphOptions(),
-) -> BuildResult:
-    """Run the full pipeline on a parsed window: filter, map, count, collapse, normalize.
-
-    Deterministic: identical inputs produce identical graphs.
-    """
-    counts = Counter((r.src_addr, r.dst_addr, r.message_type) for r in window.records)
-    return _build_from_counts(counts, topology, options, window.stats, window.rejections)
-
-
-def build_graph_from_lines(
-    lines: Iterable[bytes], topology: Topology, options: GraphOptions = GraphOptions()
-) -> BuildResult:
-    """``build_graph(parse_packet_log(lines))``, streamed.
-
-    Counts the lines (a binary file iterates as lines) without making record
-    objects, so memory does not grow with their number. Rejected lines past
-    the first ``_SHOWN_REJECTIONS`` are only counted.
-    """
-    counts, rejected, rejections = count_packet_log(lines, _SHOWN_REJECTIONS)
-    parsed = sum(counts.values())
-    stats = IngestStats(total=parsed + rejected, parsed=parsed, rejected=rejected)
-    return _build_from_counts(counts, topology, options, stats, rejections)
+    stats = IngestStats(parsed + rejected, parsed, rejected, filtered_out)
+    return BuildResult(graph, stats, UnmappedReport(unmapped, dict(unknown)), flows.dropped,
+                       rejections)

@@ -202,17 +202,19 @@ _CANONICAL_PREFIX = re.compile(rb'\{"ts_us":(?:0|[1-9][0-9]{0,17}),')
 _CANONICAL_BODY = re.compile(rb'"src":"([0-9.]{7,15})","dst":"([0-9.]{7,15})",'
                              rb'"proto":"([A-Za-z0-9_]*)"(?:,"dnp3_fn":"([a-z_]*)")?\}\r?\n?')
 _MAX_BODIES = 1024  # most bodies of a wide capture are singletons: memoizing them only costs RSS
+#: Rejected lines a count keeps, as ``build -v`` lists; the rest are only counted.
+_SHOWN_REJECTIONS = 20
 
 
 def count_packet_log(
-    lines: Iterable[bytes], shown: int
+    lines: Iterable[bytes],
 ) -> tuple[dict[tuple[str, str, Dnp3MessageType], int], int, tuple[RejectedLine, ...]]:
     """Count the valid lines by ``(src, dst, message_type)``, as ``parse_packet_log`` judges them.
 
-    Returns the counts, the number of rejected lines and the first ``shown``
-    rejections. A canonical body seen first is judged by the strict path's
-    address and message-type rules, without a JSON decode, and the first
-    ``_MAX_BODIES`` that pass are memoized. Every other line takes the strict path.
+    Returns the counts, the number of rejected lines and the first
+    ``_SHOWN_REJECTIONS`` rejections. A canonical body seen first is judged by the
+    strict path's address and message-type rules, without a JSON decode, and the
+    first ``_MAX_BODIES`` that pass are memoized. Every other line takes the strict path.
     """
     counts: dict[tuple[str, str, Dnp3MessageType], int] = {}
     bodies: dict[bytes, tuple[str, str, Dnp3MessageType]] = {}
@@ -246,7 +248,7 @@ def count_packet_log(
             continue
         if type(item) is str:
             rejected += 1
-            if rejected <= shown:
+            if rejected <= _SHOWN_REJECTIONS:
                 rejections.append(RejectedLine(line_no, item))
             continue
         key = item[1:]

@@ -19,7 +19,7 @@ loads, and four routers.
 import importlib.resources
 from collections import Counter
 from enum import Enum
-from typing import BinaryIO, NamedTuple
+from typing import BinaryIO, Iterable, NamedTuple
 
 from .errors import FormatError, ValidationError
 from .ingest import IPV4_PATTERN, CaptureWindow, Dnp3MessageType, read_json
@@ -74,7 +74,8 @@ class Topology(Record):
 
     __slots__ = ("devices", "_by_addr", "_by_name", "_master")
 
-    def __init__(self, devices: tuple[Device, ...]):
+    def __init__(self, devices: Iterable[Device]):
+        devices = tuple(devices)  # a caller's list may change later; the inventory may not
         for dev in devices:
             if not (is_xml_name(dev.name) and dev.name):
                 raise ValidationError(
@@ -148,7 +149,7 @@ def load_topology(stream: BinaryIO | bytes) -> Topology:
             raise FormatError(f"devices[{i}]: 'substation' must be a string")
         devices.append(Device(name, parse_role(role) or role, frozenset(addrs)))
 
-    return Topology(tuple(devices))
+    return Topology(devices)
 
 
 def default_topology() -> Topology:

@@ -1,11 +1,16 @@
-"""Shared fixtures: a hand-weighted sample graph, topology factories, capture builders."""
+"""Shared fixtures: a hand-weighted sample graph, topology factories, capture builders,
+and the stage-by-stage build reference."""
 
 import json
 
 import pytest
 
-from cyberdep.depgraph import DependencyGraph, DgEdge, DgNode, Normalization
-from cyberdep.topology import Device, DeviceRole, Topology, default_topology
+from cyberdep.depgraph import (
+    BuildResult, DependencyGraph, DgEdge, DgNode, Normalization, collapse_to_scada, count_flows,
+    edge_probabilities,
+)
+from cyberdep.ingest import filter_dnp3
+from cyberdep.topology import Device, DeviceRole, Topology, default_topology, map_window
 
 
 def jsonl_bytes(rows) -> bytes:
@@ -72,6 +77,17 @@ INTRA_DEVICE_ROWS = [
         ("10.9.1.1", "10.9.1.2", "response"), ("10.9.1.2", "10.9.1.1", "response"),
     ], start=1)
 ]
+
+
+def staged_build(window, topo, options) -> BuildResult:
+    """The library stages one by one: the reference ``build_graph`` must match."""
+    filtered = filter_dnp3(window)
+    mapped, unmapped = map_window(topo, filtered)
+    counts = count_flows(mapped)
+    if options.scada_collapse:
+        counts, _ = collapse_to_scada(counts, topo)
+    graph = edge_probabilities(counts, options.normalization, topo.roles())
+    return BuildResult(graph, filtered.stats, unmapped, counts.dropped, window.rejections[:20])
 
 
 @pytest.fixture(scope="session")

@@ -87,14 +87,14 @@ def test_criterion_3_baseline_uniformity():
         # sampled: 10 equally weighted pairs, N = 10^4
         topo10 = make_topology(10)
         profile = builtin_profile("baseline", topo10, n_messages=10_000, seed=1)
-        sampled = build_graph(parse_packet_log(generate(profile, topo10)), topo10).graph
+        sampled = build_graph(io.BytesIO(generate(profile, topo10)), topo10).graph
         assert len(sampled.edges) == 10
         for e in sampled.edges:
             assert abs(e.probability - 0.1) <= 0.02, (e.key, e.probability)
 
         # forced equal counts: exactly 0.1 per edge
         forced = build_graph(
-            parse_packet_log(jsonl_bytes(equal_flow_rows(topo10, 40))), topo10
+            io.BytesIO(jsonl_bytes(equal_flow_rows(topo10, 40))), topo10
         ).graph
         assert len(forced.edges) == 10
         for e in forced.edges:
@@ -103,7 +103,7 @@ def test_criterion_3_baseline_uniformity():
         # six pairs with equal counts: exactly 1/6, rendered "0.17"
         topo6 = make_topology(6)
         six = build_graph(
-            parse_packet_log(jsonl_bytes(equal_flow_rows(topo6, 1000))), topo6
+            io.BytesIO(jsonl_bytes(equal_flow_rows(topo6, 1000))), topo6
         ).graph
         assert len(six.edges) == 6
         for e in six.edges:
@@ -113,7 +113,7 @@ def test_criterion_3_baseline_uniformity():
 
 def scenario_ranking(profile_name: str, topo, seed: int = 1):
     profile = builtin_profile(profile_name, topo, n_messages=10_000, seed=seed)
-    graph = build_graph(parse_packet_log(generate(profile, topo)), topo).graph
+    graph = build_graph(io.BytesIO(generate(profile, topo)), topo).graph
     return rank_edges(graph)
 
 
@@ -146,7 +146,7 @@ def test_criterion_5_normalization_invariant():
         for name in ("baseline", "dos_only", "no_mitigation", "with_mitigation"):
             for seed in (1, 7):
                 profile = builtin_profile(name, wscc, n_messages=2000, seed=seed)
-                graph = build_graph(parse_packet_log(generate(profile, wscc)), wscc).graph
+                graph = build_graph(io.BytesIO(generate(profile, wscc)), wscc).graph
                 assert graph.edges
                 total = math.fsum(e.probability for e in graph.edges)
                 assert abs(total - 1.0) <= 1e-9, (name, seed, total)
@@ -285,8 +285,8 @@ def test_criterion_8_robust_ingestion():
         assert {r.line_no for r in window.rejections} == bad_line_numbers
 
         # the graph over the valid remainder equals the clean-input graph
-        dirty_graph = build_graph(window, topo).graph
-        clean_graph = build_graph(parse_packet_log(jsonl_bytes(good_rows)), topo).graph
+        dirty_graph = build_graph(io.BytesIO(blob), topo).graph
+        clean_graph = build_graph(io.BytesIO(jsonl_bytes(good_rows)), topo).graph
         assert dirty_graph == clean_graph
         assert len(dirty_graph.edges) == 3
         for e in dirty_graph.edges:

@@ -14,14 +14,13 @@ from collections import Counter
 from hypothesis import example, given, settings, strategies as st
 
 from cyberdep import ingest
-from cyberdep.depgraph import GraphOptions, Normalization, build_graph, build_graph_from_lines
-from cyberdep.depgraph import _build_from_counts
+from cyberdep.depgraph import GraphOptions, Normalization, build_graph
 from cyberdep.ingest import (
     _DECODER, CaptureWindow, IngestStats, PacketRecord, RejectedLine, _json_failure,
     _validate_record, count_packet_log, parse_packet_log,
 )
 from cyberdep.synth import builtin_profile, generate
-from conftest import make_topology
+from conftest import make_topology, staged_build
 
 SHOWN = 20
 
@@ -201,19 +200,15 @@ def test_count_packet_log_equals_strict_scan(lines, final_newline):
     """Equal counts, rejected totals, first rejections with line numbers, builds and windows."""
     data = b"\n".join(lines) + (b"\n" if final_newline else b"")
     strict = strict_count(io.BytesIO(data))
-    assert count_packet_log(io.BytesIO(data), SHOWN) == strict
+    assert count_packet_log(io.BytesIO(data)) == strict
 
-    counts, rejected, rejections = strict
     window = parse_packet_log(data)
     assert window == strict_window(data)
-    assert Counter((r.src_addr, r.dst_addr, r.message_type) for r in window.records) == counts
+    assert Counter((r.src_addr, r.dst_addr, r.message_type) for r in window.records) == strict[0]
 
-    parsed = sum(counts.values())
-    stats = IngestStats(parsed + rejected, parsed, rejected)
     for options in ALL_OPTIONS:
-        oracle = _build_from_counts(counts, TOPOLOGY, options, stats, rejections)
-        result = build_graph_from_lines(io.BytesIO(data), TOPOLOGY, options)
-        assert result == oracle == build_graph(window, TOPOLOGY, options)
+        result = build_graph(io.BytesIO(data), TOPOLOGY, options)
+        assert result == staged_build(window, TOPOLOGY, options)
 
 
 def _count_calls(monkeypatch, *names: str) -> Counter:
@@ -239,7 +234,7 @@ def test_fast_path_fires(wscc, monkeypatch):
     bodies = {_body(line) for line in lines}
 
     calls = _count_calls(monkeypatch, "_judge_line", "_check_endpoints", "_message_type")
-    result = count_packet_log(lines, SHOWN)
+    result = count_packet_log(lines)
     assert calls["_judge_line"] == 0
     assert 0 < calls["_check_endpoints"] <= calls["_message_type"] == len(bodies) < len(lines) // 20
     monkeypatch.undo()
@@ -258,13 +253,13 @@ def test_body_memo_bound(monkeypatch):
     names = sorted(MUTATIONS)
     mixed = [MUTATIONS[names[i // 37 % len(names)]](line) if i % 37 == 0 else line
              for i, line in enumerate(lines)]
-    assert count_packet_log(mixed, SHOWN) == strict_count(mixed)
+    assert count_packet_log(mixed) == strict_count(mixed)
 
     bodies = list(dict.fromkeys(_body(line) for line in lines))
     assert len(bodies) > ingest._MAX_BODIES
     twice = [b'{"ts_us":%d,' % ts + body for ts, body in enumerate(bodies + bodies)]
     calls = _count_calls(monkeypatch, "_judge_line", "_message_type")
-    result = count_packet_log(twice, SHOWN)
+    result = count_packet_log(twice)
     assert calls == {"_message_type": 2 * len(bodies) - ingest._MAX_BODIES}
     monkeypatch.undo()
     assert result == strict_count(twice)

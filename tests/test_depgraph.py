@@ -5,6 +5,7 @@ by summing over every firing pattern of the active parents; noisy_or must
 agree with it to float precision.
 """
 
+import copy
 import io
 import itertools
 import json
@@ -16,7 +17,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cyberdep.depgraph import (
-    BuildResult,
     ConditionalQuery,
     DependencyGraph,
     DgEdge,
@@ -25,7 +25,6 @@ from cyberdep.depgraph import (
     GraphOptions,
     Normalization,
     build_graph,
-    build_graph_from_lines,
     collapse_to_scada,
     count_flows,
     edge_probabilities,
@@ -37,7 +36,7 @@ from cyberdep.errors import QueryError, ValidationError
 from cyberdep.ingest import Dnp3MessageType, filter_dnp3, parse_packet_log
 from cyberdep.synth import builtin_profile, generate
 from cyberdep.topology import Device, DeviceRole, Topology, map_window
-from conftest import INTRA_DEVICE_ROWS, equal_flow_rows, jsonl_bytes, make_topology
+from conftest import INTRA_DEVICE_ROWS, equal_flow_rows, jsonl_bytes, make_topology, staged_build
 
 READ = Dnp3MessageType.READ
 RESPOND = Dnp3MessageType.RESPOND
@@ -528,6 +527,15 @@ class TestQuery:
         with pytest.raises(QueryError, match="'P9' is not a parent of 'F7'"):
             query(sample_graph, ConditionalQuery("F7", {"P9": True}))
 
+    def test_keeps_its_own_evidence(self, sample_graph):
+        evidence = {"P1": True}
+        q = ConditionalQuery("F4", evidence)
+        evidence["P9"] = True
+        evidence["F2"] = True  # no parent of F4: the query would raise if it saw this
+        assert q.evidence == {"P1": True}
+        assert query(sample_graph, q) == pytest.approx(0.3)
+        assert copy.copy(q) == q == ConditionalQuery("F4", {"P1": True})
+
 
 # -- end-to-end build --------------------------------------------------------
 
@@ -535,8 +543,9 @@ class TestQuery:
 class TestBuildGraph:
     def test_matches_manual_pipeline(self):
         topo = make_topology(3)
-        window = parse_packet_log(jsonl_bytes(equal_flow_rows(topo, 4)))
-        graph = build_graph(window, topo).graph
+        data = jsonl_bytes(equal_flow_rows(topo, 4))
+        graph = build_graph(io.BytesIO(data), topo).graph
+        window = parse_packet_log(data)
 
         mapped, _ = map_window(topo, filter_dnp3(window))
         counts, _ = collapse_to_scada(count_flows(mapped), topo)
@@ -545,8 +554,7 @@ class TestBuildGraph:
 
     def test_equal_flows_give_equal_shares(self):
         topo = make_topology(4)
-        window = parse_packet_log(jsonl_bytes(equal_flow_rows(topo, 5)))
-        graph = build_graph(window, topo).graph
+        graph = build_graph(io.BytesIO(jsonl_bytes(equal_flow_rows(topo, 5))), topo).graph
         assert len(graph.edges) == 4
         assert all(e.probability == 0.25 for e in graph.edges)
         assert all(e.sink == "scada" for e in graph.edges)
@@ -554,20 +562,21 @@ class TestBuildGraph:
     def test_deterministic(self):
         topo = make_topology(3)
         data = jsonl_bytes(equal_flow_rows(topo, 7))
-        assert build_graph(parse_packet_log(data), topo).graph == build_graph(
-            parse_packet_log(data), topo
-        ).graph
+        assert build_graph(io.BytesIO(data), topo) == build_graph(io.BytesIO(data), topo)
+
+    def test_parsed_window_is_no_input(self, wscc):
+        with pytest.raises(TypeError):
+            build_graph(parse_packet_log(b""), wscc)
 
     def test_empty_window_builds_empty_graph(self, wscc):
-        graph = build_graph(parse_packet_log(b""), wscc).graph
+        graph = build_graph(io.BytesIO(b""), wscc).graph
         assert graph.nodes == ()
         assert graph.edges == ()
 
     def test_no_collapse_keeps_directional_edges(self):
         topo = make_topology(1)
-        rows = equal_flow_rows(topo, 4)
-        window = parse_packet_log(jsonl_bytes(rows))
-        graph = build_graph(window, topo, GraphOptions(scada_collapse=False)).graph
+        data = jsonl_bytes(equal_flow_rows(topo, 4))
+        graph = build_graph(io.BytesIO(data), topo, GraphOptions(scada_collapse=False)).graph
         assert graph.edge("scada", "dev-01") is not None
         assert graph.edge("dev-01", "scada") is not None
 
@@ -578,9 +587,9 @@ class TestBuildGraph:
     def test_intra_device_traffic_dropped(self, collapse, edges):
         topo = intra_device_topology()
         data = jsonl_bytes(INTRA_DEVICE_ROWS)
-        window = parse_packet_log(data)
-        for result in (build_graph(window, topo, GraphOptions(collapse)),
-                       build_graph_from_lines(io.BytesIO(data), topo, GraphOptions(collapse))):
+        options = GraphOptions(collapse)
+        for result in (build_graph(io.BytesIO(data), topo, options),
+                       staged_build(parse_packet_log(data), topo, options)):
             assert {e.key for e in result.graph.edges} == edges
             assert result.graph.grand_total == 4
             assert result.scada_dropped == 3  # mapped 7 = grand_total 4 + dropped 3
@@ -590,14 +599,14 @@ class TestBuildGraph:
     def test_stage_chain_drops_intra_device_traffic(self, collapse):
         # The README's "same graph, stage by stage" chain on the same capture.
         topo = intra_device_topology()
-        window = parse_packet_log(jsonl_bytes(INTRA_DEVICE_ROWS))
-        mapped, unmapped = map_window(topo, filter_dnp3(window))
+        data = jsonl_bytes(INTRA_DEVICE_ROWS)
+        mapped, unmapped = map_window(topo, filter_dnp3(parse_packet_log(data)))
         counts = count_flows(mapped)
         assert counts.dropped == 3
         if collapse:
             counts, scada_dropped = collapse_to_scada(counts, topo)
             assert scada_dropped == counts.dropped
-        result = build_graph(window, topo, GraphOptions(collapse))
+        result = build_graph(io.BytesIO(data), topo, GraphOptions(collapse))
         assert edge_probabilities(counts, roles=topo.roles()) == result.graph
         assert counts.dropped == result.scada_dropped == 3  # mapped 7 = grand_total 4 + 3
         assert unmapped.records == 0
@@ -661,17 +670,6 @@ ALL_OPTIONS = [
 ]
 
 
-def staged_build(window, topo, options):
-    """The library stages one by one: the reference both builds must match."""
-    filtered = filter_dnp3(window)
-    mapped, unmapped = map_window(topo, filtered)
-    counts = count_flows(mapped)
-    if options.scada_collapse:
-        counts, _ = collapse_to_scada(counts, topo)
-    graph = edge_probabilities(counts, options.normalization, topo.roles())
-    return BuildResult(graph, filtered.stats, unmapped, counts.dropped, window.rejections[:20])
-
-
 class TestBuildGraphFromLines:
     @settings(max_examples=300, deadline=None)
     @given(lines=capture_lines, final_newline=st.booleans())
@@ -682,16 +680,14 @@ class TestBuildGraphFromLines:
              final_newline=True)
     def test_streamed_equals_staged(self, lines, final_newline):
         """Random mixes of valid, malformed, blank, non-DNP3, unmapped, non-SCADA,
-        intra-device and out-of-order lines: the streamed build, the window build and
-        the staged chain give one BuildResult, stats and first rejections included."""
+        intra-device and out-of-order lines: the streamed build and the staged chain
+        give one BuildResult, stats and first rejections included."""
         topo = STREAM_TOPOLOGY
         data = b"\n".join(lines) + (b"\n" if final_newline else b"")
         window = parse_packet_log(data)
         for options in ALL_OPTIONS:
-            result = build_graph_from_lines(io.BytesIO(data), topo, options)
-            window_build = build_graph(window, topo, options)
-            assert result == window_build == staged_build(window, topo, options)
-            assert build_graph(filter_dnp3(window), topo, options) == window_build
+            result = build_graph(io.BytesIO(data), topo, options)
+            assert result == staged_build(window, topo, options)
             stats = result.stats
             mapped = stats.parsed - stats.filtered_out - result.unmapped.records
             assert mapped == result.graph.grand_total + result.scada_dropped
@@ -706,7 +702,7 @@ class TestBuildGraphFromLines:
             tracemalloc.start()
             try:
                 with path.open("rb") as lines:
-                    result = build_graph_from_lines(lines, wscc)
+                    result = build_graph(lines, wscc)
                 return tracemalloc.get_traced_memory()[1], result.graph.grand_total
             finally:
                 tracemalloc.stop()

@@ -9,7 +9,7 @@ import pytest
 
 import cyberdep
 from cyberdep.cli import main
-from cyberdep.depgraph import DependencyGraph, DgEdge, DgNode, Normalization, build_graph_from_lines
+from cyberdep.depgraph import DependencyGraph, DgEdge, DgNode, Normalization, build_graph
 from cyberdep.errors import ValidationError
 from cyberdep.scenario import (
     SIGNATURES,
@@ -241,7 +241,7 @@ RANKING_FLAGS = ("dos_top2", "no_mitigation_top2", "mitigation_pattern")
 
 def synth_run(name, kind, run_id, topo, n_messages=10_000):
     profile = builtin_profile(name, topo, n_messages=n_messages, seed=run_id)
-    result = build_graph_from_lines(io.BytesIO(generate(profile, topo)), topo)
+    result = build_graph(io.BytesIO(generate(profile, topo)), topo)
     return ScenarioRun(kind, run_id, f"{name}-{run_id}", result.graph)
 
 

@@ -1,5 +1,6 @@
 """Topology loading, validation, and address-to-device mapping."""
 
+import copy
 import json
 import re
 
@@ -177,6 +178,18 @@ class TestTopologyInvariants:
         with pytest.raises(ValidationError) as exc:
             Topology((Device("master", role, frozenset({"10.0.0.1"})),))
         assert str(exc.value) == f"device 'master': role must be a DeviceRole, got {role!r}"
+
+    def test_keeps_its_own_device_list(self):
+        devs = [Device("s", DeviceRole.SCADA_MASTER, frozenset({"10.0.0.1"})),
+                Device("f", DeviceRole.FIELD_DEVICE, frozenset({"10.0.0.2"}))]
+        topo = Topology(devs)
+        devs.append(Device("g", DeviceRole.FIELD_DEVICE, frozenset({"10.0.0.3"})))
+        devs.append(Device("f", DeviceRole.FIELD_DEVICE, frozenset({"10.0.0.4"})))
+        assert topo.devices == tuple(devs[:2])
+        assert topo.roles() == {"s": DeviceRole.SCADA_MASTER, "f": DeviceRole.FIELD_DEVICE}
+        assert topo.resolve("10.0.0.3") is None and topo.device("g") is None
+        assert topo.resolve("10.0.0.2") is topo.device("f") is devs[1]
+        assert copy.copy(topo) == topo
 
     def test_multihomed_device_resolves_on_every_addr(self):
         devs = (
