@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import depgraph, graphio, ingest, topology
 from .errors import CyberDepError, FormatError, ValidationError
@@ -35,12 +36,17 @@ def _load_topology(args) -> topology.Topology:
     return topology.load_topology(_existing_file(args.topo, "topology").read_bytes())
 
 
-def _write_output(path_str: str | None, payload: bytes) -> None:
+def _write_output(path_str: str | None, chunks: Iterable[bytes]) -> None:
+    chunks = iter(chunks)
+    head = next(chunks, b"")  # a source that fails here leaves an existing file untouched
     if path_str is None or path_str == "-":
-        sys.stdout.buffer.write(payload)
+        sys.stdout.buffer.write(head)
+        sys.stdout.buffer.writelines(chunks)
         sys.stdout.buffer.flush()
     else:
-        Path(path_str).write_bytes(payload)
+        with open(path_str, "wb") as out:
+            out.write(head)
+            out.writelines(chunks)
 
 
 def _tolerance(text: str) -> float:
@@ -55,13 +61,7 @@ def _tolerance(text: str) -> float:
 
 
 def _pick_format(args) -> str:
-    if args.format:
-        return args.format
-    if args.out and args.out != "-":
-        suffix = Path(args.out).suffix.lower()
-        if suffix in _FORMAT_SUFFIXES:
-            return _FORMAT_SUFFIXES[suffix]
-    return "json"
+    return args.format or _FORMAT_SUFFIXES.get(Path(args.out or "").suffix.lower(), "json")
 
 
 def _build_from_capture(args, capture_path: str, topo: topology.Topology):
@@ -97,7 +97,7 @@ def cmd_build(args) -> int:
     topo = _load_topology(args)
     graph = _build_from_capture(args, args.input, topo)
     fmt = _pick_format(args)
-    _write_output(args.out, graphio.render_graph(graph, fmt))
+    _write_output(args.out, graphio.render_chunks(graph, fmt))
     _diag(
         f"graph: {len(graph.nodes)} nodes, {len(graph.edges)} edges, "
         f"grand_total {graph.grand_total} ({fmt} -> {args.out or 'stdout'})"
@@ -107,7 +107,7 @@ def cmd_build(args) -> int:
 
 def cmd_export(args) -> int:
     graph = graphio.load_graph_json(_existing_file(args.input, "input").read_bytes())
-    _write_output(args.out, graphio.render_graph(graph, args.format))
+    _write_output(args.out, graphio.render_chunks(graph, args.format))
     return 0
 
 
@@ -136,7 +136,7 @@ def cmd_synth(args) -> int:
             )
         profile = synth.load_profile(path.read_bytes()).replace(**overrides)
     payload = synth.generate(profile, topo)
-    _write_output(args.out, payload)
+    _write_output(args.out, (payload,))
     _diag(
         f"synth {profile.scenario.value}: {profile.n_messages} dnp3 messages, "
         f"seed {profile.seed} -> {args.out or 'stdout'}"
@@ -179,7 +179,7 @@ def cmd_compare(args) -> int:
         payload = report.to_text().encode("utf-8")
     else:
         payload = (json.dumps(report.to_json_dict(), indent=2) + "\n").encode("utf-8")
-    _write_output(args.out, payload)
+    _write_output(args.out, (payload,))
     return 0
 
 
@@ -195,17 +195,15 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("-v", "--verbose", action="store_true", help="verbose diagnostics")
         p.add_argument(
             "--topo",
-            default=None,
             help="topology JSON path (default: bundled wscc9 fixture)",
         )
 
     p_build = sub.add_parser("build", help="build a dependency graph from a packet log")
     p_build.add_argument("--in", dest="input", required=True, help="JSON Lines capture path")
-    p_build.add_argument("--out", default=None, help="output path ('-' or absent: stdout)")
+    p_build.add_argument("--out", help="output path ('-' or absent: stdout)")
     p_build.add_argument(
         "--format",
         choices=graphio.FORMATS,
-        default=None,
         help="output format (default: inferred from --out suffix, else json)",
     )
     p_build.add_argument(
@@ -224,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_export = sub.add_parser("export", help="re-emit a graph JSON file in another format")
     p_export.add_argument("--in", dest="input", required=True, help="graph JSON path")
     p_export.add_argument("--format", choices=graphio.FORMATS, required=True)
-    p_export.add_argument("--out", default=None, help="output path ('-' or absent: stdout)")
+    p_export.add_argument("--out", help="output path ('-' or absent: stdout)")
 
     p_query = sub.add_parser("query", help="noisy-OR conditional probability of a node")
     p_query.add_argument("--in", dest="input", required=True, help="graph JSON path")
@@ -239,13 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help=f"built-in profile ({', '.join(_BUILTIN_PROFILES)}) or profile JSON path",
     )
-    p_synth.add_argument("--out", default=None, help="output path ('-' or absent: stdout)")
-    p_synth.add_argument("--seed", type=int, default=None, help="RNG seed override")
-    p_synth.add_argument("--n", type=int, default=None, help="DNP3 message count override")
+    p_synth.add_argument("--out", help="output path ('-' or absent: stdout)")
+    p_synth.add_argument("--seed", type=int, help="RNG seed override")
+    p_synth.add_argument("--n", type=int, help="DNP3 message count override")
     p_synth.add_argument(
         "--noise-fraction",
         type=float,
-        default=None,
         help="fraction of extra non-DNP3 noise records",
     )
     common(p_synth, verbose=False)
@@ -257,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help='run manifest: json list of {"scenario", "run_id", "capture"}',
     )
-    p_compare.add_argument("--out", default=None, help="report path ('-' or absent: stdout)")
+    p_compare.add_argument("--out", help="report path ('-' or absent: stdout)")
     p_compare.add_argument("--format", choices=["json", "text"], default="json")
     p_compare.add_argument(
         "--normalization", choices=["global", "per-sink"], default="global"

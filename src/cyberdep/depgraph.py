@@ -199,8 +199,7 @@ class DependencyGraph(Record):
     normalization the edge probabilities of a nonempty graph sum to 1.
     """
 
-    __slots__ = ("nodes", "edges", "normalization", "grand_total", "_names", "_by_key",
-                 "_in_edges")
+    __slots__ = ("nodes", "edges", "normalization", "grand_total", "_names", "_in_edges")
 
     def __init__(
         self, nodes: Iterable[DgNode], edges: Iterable[DgEdge],
@@ -220,13 +219,13 @@ class DependencyGraph(Record):
         # One pass over the edges. Structure errors raise at once; the first edge to
         # break each count rule is kept, so the rules below raise in a fixed order.
         normalized = normalization is not Normalization.NONE
-        by_key, in_edges, sink_totals = {}, {}, {}
+        keys, in_edges, sink_totals = set(), {}, {}
         zero_mismatch = type_mismatch = None
         for e in edges:
             key = (e.source, e.sink)
-            if key in by_key:
+            if key in keys:
                 raise ValidationError(f"duplicate edge {e.source}->{e.sink}")
-            by_key[key] = e
+            keys.add(key)
             for endpoint in key:
                 if endpoint not in names:
                     raise ValidationError(
@@ -283,7 +282,6 @@ class DependencyGraph(Record):
         store(self, "normalization", normalization)
         store(self, "grand_total", grand_total)
         store(self, "_names", frozenset(names))
-        store(self, "_by_key", by_key)
         store(self, "_in_edges", in_edges)
 
     def has_node(self, name: str) -> bool:
@@ -292,9 +290,6 @@ class DependencyGraph(Record):
     def parents_of(self, name: str) -> tuple[DgEdge, ...]:
         """In-edges of a node, sorted by source name."""
         return tuple(self._in_edges.get(name, ()))
-
-    def edge(self, source: str, sink: str) -> DgEdge | None:
-        return self._by_key.get((source, sink))
 
 
 # ---------------------------------------------------------------------------

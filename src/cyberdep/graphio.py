@@ -4,6 +4,11 @@ All emitters sort nodes and edges, so output is byte-deterministic for a
 given graph. DOT edge labels carry the probability rounded to two decimals;
 the SCADA master is drawn with a distinct node shape.
 
+Each format is one generator of byte chunks, at most CHUNK nodes or edges
+each (``render_chunks``). ``cyberdep build`` and ``export`` write the chunks
+as they come, so a render's peak memory does not grow with the size of the
+output document. ``render_graph`` and ``graph_to_*`` join the chunks.
+
 Graph JSON schema:
 
     {"nodes": [{"name": "...", "role": "scada|field|router|other"}, ...],
@@ -19,7 +24,8 @@ check every value, so a node name is always one that every format can carry.
 
 import json
 import re
-from typing import BinaryIO
+from itertools import islice
+from typing import BinaryIO, Iterator
 
 from .depgraph import DependencyGraph, DgEdge, DgNode, Normalization, format_probability
 from .errors import FormatError
@@ -32,9 +38,7 @@ _DOT_KEYWORDS = frozenset({"node", "edge", "graph", "digraph", "subgraph", "stri
 
 # Exports fill fixed templates, byte for byte what ``json.dumps(doc, indent=2)``
 # and an indented ElementTree write. Only names need escaping, once per node.
-_JSON_GRAPH = (
-    '{\n  "nodes": %s,\n  "edges": %s,\n  "normalization": "%s",\n  "grand_total": %r\n}\n'
-)
+_JSON_TAIL = ',\n  "normalization": "%s",\n  "grand_total": %r\n}\n'
 _JSON_NODE = '    {\n      "name": %s,\n      "role": "%s"\n    }'
 _JSON_EDGE = (
     '    {\n      "source": %s,\n      "sink": %s,\n      "probability": %r,\n'
@@ -42,19 +46,37 @@ _JSON_EDGE = (
     + ",\n".join(f'        "{mt.value}": %d' for mt in DNP3_SYSCALLS)
     + "\n      }\n    }"
 )
+# Nodes or edges per rendered chunk: a render holds one chunk, not the whole document.
+CHUNK = 256
 
 
-def _json_list(items: list) -> str:
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+def _chunked(strings: Iterator[str], sep: str = "", lead: str = "") -> Iterator[bytes]:
+    """``lead + sep.join(strings)`` encoded in chunks of at most CHUNK strings (none for none)."""
+    while batch := list(islice(strings, CHUNK)):
+        yield (lead + sep.join(batch)).encode("utf-8")
+        lead = sep
+
+
+def _json_list(items: tuple, strings: Iterator[str]) -> Iterator[bytes]:
+    yield from _chunked(strings, ",\n", lead="[\n")
+    yield b"\n  ]" if items else b"[]"
+
+
+def _json_chunks(graph: DependencyGraph) -> Iterator[bytes]:
+    names = {n.name: json.dumps(n.name) for n in graph.nodes}
+    nodes = (_JSON_NODE % (names[n.name], n.role.value) for n in graph.nodes)
+    # DgEdge keeps by_type in DNP3_SYSCALLS order, the template's order.
+    edges = (_JSON_EDGE % (names[e.source], names[e.sink], e.probability, e.count,
+                           *e.by_type.values()) for e in graph.edges)
+    yield b'{\n  "nodes": '
+    yield from _json_list(graph.nodes, nodes)
+    yield b',\n  "edges": '
+    yield from _json_list(graph.edges, edges)
+    yield (_JSON_TAIL % (graph.normalization.value, graph.grand_total)).encode("utf-8")
 
 
 def graph_to_json_bytes(graph: DependencyGraph) -> bytes:
-    names = {n.name: json.dumps(n.name) for n in graph.nodes}
-    nodes = [_JSON_NODE % (names[n.name], n.role.value) for n in graph.nodes]
-    edges = [_JSON_EDGE % (names[e.source], names[e.sink], e.probability, e.count,
-                           *[e.by_type[mt] for mt in DNP3_SYSCALLS]) for e in graph.edges]
-    return (_JSON_GRAPH % (_json_list(nodes), _json_list(edges), graph.normalization.value,
-                           graph.grand_total)).encode("utf-8")
+    return b"".join(_json_chunks(graph))
 
 
 def load_graph_json(stream: BinaryIO | bytes) -> DependencyGraph:
@@ -90,7 +112,7 @@ def load_graph_json(stream: BinaryIO | bytes) -> DependencyGraph:
         normalization = Normalization(doc.get("normalization", "none"))
     except ValueError:
         raise FormatError(f"unknown normalization {doc.get('normalization')!r}")
-    grand_total = doc.get("grand_total", sum(e.count for e in edges))
+    grand_total = doc["grand_total"] if "grand_total" in doc else sum(e.count for e in edges)
     return DependencyGraph(tuple(nodes), tuple(edges), normalization, grand_total)
 
 
@@ -100,18 +122,21 @@ def _dot_id(name: str) -> str:
     return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def graph_to_dot(graph: DependencyGraph) -> str:
-    """Render DOT with probability-labeled edges; SCADA master drawn as a box."""
+def _dot_chunks(graph: DependencyGraph) -> Iterator[bytes]:
+    """DOT with probability-labeled edges; SCADA master drawn as a box."""
     ids = {n.name: _dot_id(n.name) for n in graph.nodes}
-    lines = ["digraph dependency_graph {"]
-    for n in graph.nodes:
-        shape = "box" if n.role is DeviceRole.SCADA_MASTER else "ellipse"
-        lines.append(f"  {ids[n.name]} [shape={shape}];")
-    for e in graph.edges:
-        label = format_probability(e.probability)
-        lines.append(f'  {ids[e.source]} -> {ids[e.sink]} [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    yield b"digraph dependency_graph {\n"
+    yield from _chunked(
+        f"  {ids[n.name]} [shape={'box' if n.role is DeviceRole.SCADA_MASTER else 'ellipse'}];\n"
+        for n in graph.nodes)
+    yield from _chunked(
+        f'  {ids[e.source]} -> {ids[e.sink]} [label="{format_probability(e.probability)}"];\n'
+        for e in graph.edges)
+    yield b"}\n"
+
+
+def graph_to_dot(graph: DependencyGraph) -> str:
+    return b"".join(_dot_chunks(graph)).decode("utf-8")
 
 
 _GRAPHML_HEAD = """<?xml version='1.0' encoding='UTF-8'?>
@@ -133,24 +158,34 @@ _XML_ATTRIBUTE = str.maketrans(
 )
 
 
-def graph_to_graphml(graph: DependencyGraph) -> bytes:
-    """Render GraphML carrying role, probability, count, and a display label."""
+def _graphml_chunks(graph: DependencyGraph) -> Iterator[bytes]:
+    """GraphML carrying role, probability, count, and a display label."""
     ids = {n.name: n.name.translate(_XML_ATTRIBUTE) for n in graph.nodes}
-    body = [_GRAPHML_NODE % (ids[n.name], n.role.value) for n in graph.nodes]
-    body += [_GRAPHML_EDGE % (ids[e.source], ids[e.sink], e.probability, e.count,
-                              format_probability(e.probability)) for e in graph.edges]
-    tail = ">\n" + "".join(body) + "  </graph>\n" if body else " />\n"
-    return (_GRAPHML_HEAD + tail + "</graphml>\n").encode("utf-8")
+    if not graph.nodes:  # then there are no edges either
+        yield (_GRAPHML_HEAD + " />\n</graphml>\n").encode("utf-8")
+        return
+    yield (_GRAPHML_HEAD + ">\n").encode("utf-8")
+    yield from _chunked(_GRAPHML_NODE % (ids[n.name], n.role.value) for n in graph.nodes)
+    yield from _chunked(_GRAPHML_EDGE % (ids[e.source], ids[e.sink], e.probability, e.count,
+                                         format_probability(e.probability))
+                        for e in graph.edges)
+    yield b"  </graph>\n</graphml>\n"
 
 
-FORMATS = ("json", "dot", "graphml")
+def graph_to_graphml(graph: DependencyGraph) -> bytes:
+    return b"".join(_graphml_chunks(graph))
+
+
+_RENDERERS = {"json": _json_chunks, "dot": _dot_chunks, "graphml": _graphml_chunks}
+FORMATS = tuple(_RENDERERS)
+
+
+def render_chunks(graph: DependencyGraph, fmt: str) -> Iterator[bytes]:
+    """The rendered graph in byte chunks; an unknown format raises here, not on iteration."""
+    if fmt not in FORMATS:
+        raise FormatError(f"unknown graph format: {fmt!r}")
+    return _RENDERERS[fmt](graph)
 
 
 def render_graph(graph: DependencyGraph, fmt: str) -> bytes:
-    if fmt == "json":
-        return graph_to_json_bytes(graph)
-    if fmt == "dot":
-        return graph_to_dot(graph).encode("utf-8")
-    if fmt == "graphml":
-        return graph_to_graphml(graph)
-    raise FormatError(f"unknown graph format: {fmt!r}")
+    return b"".join(render_chunks(graph, fmt))

@@ -90,6 +90,11 @@ def staged_build(window, topo, options) -> BuildResult:
     return BuildResult(graph, filtered.stats, unmapped, counts.dropped, window.rejections[:20])
 
 
+def find_edge(graph: DependencyGraph, source: str, sink: str) -> DgEdge | None:
+    """The graph's edge from source to sink, or None."""
+    return next((e for e in graph.edges if e.key == (source, sink)), None)
+
+
 @pytest.fixture(scope="session")
 def wscc() -> Topology:
     return default_topology()

@@ -9,12 +9,14 @@ from pathlib import Path
 import pytest
 
 import cyberdep
-from cyberdep.cli import main
+from cyberdep.cli import _write_output, main
 from cyberdep.depgraph import DependencyGraph
-from cyberdep.errors import ValidationError
-from cyberdep.graphio import graph_to_json_bytes, load_graph_json
+from cyberdep.errors import FormatError, ValidationError
+from cyberdep.graphio import (
+    CHUNK, FORMATS, graph_to_json_bytes, load_graph_json, render_graph,
+)
 from cyberdep.scenario import ScenarioKind, ScenarioRun
-from conftest import INTRA_DEVICE_ROWS, jsonl_bytes, make_topology, equal_flow_rows
+from conftest import INTRA_DEVICE_ROWS, equal_flow_rows, find_edge, jsonl_bytes, make_topology
 
 
 @pytest.fixture
@@ -91,8 +93,8 @@ class TestBuild:
         assert main(["build", "--in", str(capture_file), "--topo", str(topo_file),
                      "--no-scada-collapse", "--out", str(out)]) == 0
         graph = load_graph_json(out.read_bytes())
-        assert graph.edge("scada", "dev-01") is not None
-        assert graph.edge("dev-01", "scada") is not None
+        assert find_edge(graph, "scada", "dev-01") is not None
+        assert find_edge(graph, "dev-01", "scada") is not None
 
     def test_default_topology_used_when_no_topo_flag(self, tmp_path, capsys):
         rows = [{"ts_us": 1, "src": "10.0.0.10", "dst": "10.0.1.20",
@@ -235,6 +237,52 @@ class TestExport:
         assert (run.returncode, run.stdout) == (1, b"")
         assert run.stderr == (f"cyberdep {command[0]}: error: node name must be a string XML "
                               "can represent, got 'a\\ud800'\n").encode()
+
+
+def run_to_stdout_and_file(tmp_path, *argv) -> bytes:
+    """Run a command to stdout and to --out FILE; return its output, equal in both."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cyberdep.__file__).parents[1])}
+    out = tmp_path / "out"
+    to_stdout, to_file = (
+        subprocess.run([sys.executable, "-m", "cyberdep.cli", *argv, *extra], env=env,
+                       capture_output=True, timeout=60)
+        for extra in ([], ["--out", str(out)]))
+    assert (to_stdout.returncode, to_file.returncode) == (0, 0), to_stdout.stderr
+    assert (to_file.stdout, out.read_bytes()) == (b"", to_stdout.stdout)
+    return to_stdout.stdout
+
+
+class TestStreamedOutput:
+    def test_file_and_stdout_bytes_equal_through_a_pipe(self, tmp_path):
+        """Over 2 * CHUNK + 1 edges, so every format's output spans several chunks."""
+        topo = make_topology(2 * CHUNK + 3)
+        capture = tmp_path / "capture.jsonl"
+        capture.write_bytes(jsonl_bytes(equal_flow_rows(topo, 2)))
+        topo_path = tmp_path / "topo.json"
+        topo_path.write_text(json.dumps({"devices": [
+            {"name": d.name, "role": d.role.value, "addrs": sorted(d.addrs)}
+            for d in topo.devices]}))
+        graph_path = tmp_path / "graph.json"
+        graph_path.write_bytes(run_to_stdout_and_file(
+            tmp_path, "build", "--in", str(capture), "--topo", str(topo_path)))
+        graph = load_graph_json(graph_path.read_bytes())
+        assert len(graph.edges) > 2 * CHUNK + 1
+        for fmt in FORMATS:
+            assert run_to_stdout_and_file(
+                tmp_path, "export", "--in", str(graph_path), "--format", fmt
+            ) == render_graph(graph, fmt)
+
+    def test_failed_source_leaves_existing_out_file_untouched(self, tmp_path):
+        out = tmp_path / "graph.json"
+        out.write_bytes(b"earlier output\n")
+
+        def failing():
+            raise FormatError("no first chunk")
+            yield b""
+
+        with pytest.raises(FormatError, match="no first chunk"):
+            _write_output(str(out), failing())
+        assert out.read_bytes() == b"earlier output\n"
 
 
 class TestQuery:

@@ -36,7 +36,9 @@ from cyberdep.errors import QueryError, ValidationError
 from cyberdep.ingest import Dnp3MessageType, filter_dnp3, parse_packet_log
 from cyberdep.synth import builtin_profile, generate
 from cyberdep.topology import Device, DeviceRole, Topology, map_window
-from conftest import INTRA_DEVICE_ROWS, equal_flow_rows, jsonl_bytes, make_topology, staged_build
+from conftest import (
+    INTRA_DEVICE_ROWS, equal_flow_rows, find_edge, jsonl_bytes, make_topology, staged_build,
+)
 
 READ = Dnp3MessageType.READ
 RESPOND = Dnp3MessageType.RESPOND
@@ -220,9 +222,9 @@ class TestEdgeProbabilities:
         graph = edge_probabilities(counts)
         assert graph.normalization is Normalization.GLOBAL
         assert graph.grand_total == 1000
-        assert graph.edge("a", "s").probability == 0.1
-        assert graph.edge("b", "s").probability == 0.3
-        assert graph.edge("c", "s").probability == 0.6
+        assert find_edge(graph, "a", "s").probability == 0.1
+        assert find_edge(graph, "b", "s").probability == 0.3
+        assert find_edge(graph, "c", "s").probability == 0.6
         assert math.fsum(e.probability for e in graph.edges) == pytest.approx(1.0, abs=1e-9)
 
     def test_per_sink_sums_to_one_per_sink(self):
@@ -232,9 +234,9 @@ class TestEdgeProbabilities:
             ("s", "a"): {READ: 10},
         })
         graph = edge_probabilities(counts, Normalization.PER_SINK)
-        assert graph.edge("a", "s").probability == 0.25
-        assert graph.edge("b", "s").probability == 0.75
-        assert graph.edge("s", "a").probability == 1.0
+        assert find_edge(graph, "a", "s").probability == 0.25
+        assert find_edge(graph, "b", "s").probability == 0.75
+        assert find_edge(graph, "s", "a").probability == 1.0
 
     def test_zero_traffic_gives_empty_graph(self):
         graph = edge_probabilities(FlowCounts({}))
@@ -266,7 +268,7 @@ class TestEdgeProbabilities:
 
     def test_by_type_carried_onto_edges(self):
         counts = FlowCounts({("a", "s"): {READ: 2, RESPOND: 3}})
-        edge = edge_probabilities(counts).edge("a", "s")
+        edge = find_edge(edge_probabilities(counts), "a", "s")
         assert edge.count == 5
         assert edge.by_type[READ] == 2
         assert edge.by_type[RESPOND] == 3
@@ -443,7 +445,7 @@ class TestGraphValidation:
         nodes = (DgNode("a"), DgNode("s"))
         edge = DgEdge("a", "s", 1.0, count=5, by_type={READ: 999})
         graph = DependencyGraph(nodes, (edge,), Normalization.NONE, grand_total=3)
-        assert graph.edge("a", "s").count == 5
+        assert find_edge(graph, "a", "s").count == 5
 
     def test_unnormalized_graph_skips_sum_checks(self, sample_graph):
         # hand-assigned weights may exceed 1 in aggregate
@@ -577,8 +579,8 @@ class TestBuildGraph:
         topo = make_topology(1)
         data = jsonl_bytes(equal_flow_rows(topo, 4))
         graph = build_graph(io.BytesIO(data), topo, GraphOptions(scada_collapse=False)).graph
-        assert graph.edge("scada", "dev-01") is not None
-        assert graph.edge("dev-01", "scada") is not None
+        assert find_edge(graph, "scada", "dev-01") is not None
+        assert find_edge(graph, "dev-01", "scada") is not None
 
     @pytest.mark.parametrize("collapse, edges", [
         (True, {("dev-01", "scada")}),

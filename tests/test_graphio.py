@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cyberdep
+from cyberdep import graphio
 from cyberdep.depgraph import (
     DependencyGraph,
     DgEdge,
@@ -22,12 +24,15 @@ from cyberdep.depgraph import (
 )
 from cyberdep.errors import FormatError, ValidationError
 from cyberdep.ingest import DNP3_SYSCALLS, Dnp3MessageType
+from cyberdep.cli import _write_output
 from cyberdep.graphio import (
+    CHUNK,
     FORMATS,
     graph_to_dot,
     graph_to_graphml,
     graph_to_json_bytes,
     load_graph_json,
+    render_chunks,
     render_graph,
 )
 from cyberdep.topology import DeviceRole
@@ -360,6 +365,22 @@ def oracle_graphml(graph: DependencyGraph) -> bytes:
     return ET.tostring(root, encoding="UTF-8", xml_declaration=True) + b"\n"
 
 
+def oracle_dot(graph: DependencyGraph) -> bytes:
+    """The DOT renderer before it streamed: one line per statement, joined once."""
+    ids = {n.name: graphio._dot_id(n.name) for n in graph.nodes}
+    lines = ["digraph dependency_graph {"]
+    for n in graph.nodes:
+        shape = "box" if n.role is DeviceRole.SCADA_MASTER else "ellipse"
+        lines.append(f"  {ids[n.name]} [shape={shape}];")
+    for e in graph.edges:
+        lines.append(f'  {ids[e.source]} -> {ids[e.sink]} [label="{e.probability:.2f}"];')
+    lines.append("}")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+ORACLES = {"json": oracle_json, "dot": oracle_dot, "graphml": oracle_graphml}
+
+
 # Names a graph can hold; the name property tests above cover the ones it refuses.
 oracle_names = st.text(
     st.one_of(
@@ -494,7 +515,60 @@ class TestRenderDispatch:
         with pytest.raises(FormatError, match="svg"):
             render_graph(traffic_graph, "svg")
 
+    def test_unknown_format_raises_before_the_first_chunk(self, traffic_graph):
+        with pytest.raises(FormatError, match="svg"):
+            render_chunks(traffic_graph, "svg")
+
     def test_empty_graph_renders_everywhere(self):
         empty = DependencyGraph((), (), Normalization.GLOBAL)
         for fmt in FORMATS:
             assert render_graph(empty, fmt)
+
+
+def sized_graph(n: int, shape: str) -> DependencyGraph:
+    """n edges into the SCADA master ("star", n + 1 nodes) or n nodes and no edges."""
+    sources = [f'dev "{i:04d}" &<>' for i in range(n)]
+    if shape == "nodes":
+        return DependencyGraph(tuple(DgNode(name) for name in sources), ())
+    counts = FlowCounts({(src, "scada"): {Dnp3MessageType.READ: i + 1}
+                         for i, src in enumerate(sources)})
+    return edge_probabilities(counts, roles={"scada": DeviceRole.SCADA_MASTER})
+
+
+# What one node or edge statement contains exactly once, per format.
+RECORD_MARKS = {"json": (b'"role"', b'"source"'), "dot": (b"];",),
+                "graphml": (b"<node ", b"<edge ")}
+
+
+@pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+@pytest.mark.parametrize("shape", ["star", "nodes"])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_chunks_join_to_the_oracles_at_chunk_boundaries(fmt, shape, n):
+    graph = sized_graph(n, shape)
+    chunks = list(render_chunks(graph, fmt))
+    assert b"".join(chunks) == render_graph(graph, fmt) == ORACLES[fmt](graph)
+    assert max(sum(c.count(mark) for mark in RECORD_MARKS[fmt]) for c in chunks) <= CHUNK
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_streamed_render_peak_flat_in_edge_count(fmt, tmp_path):
+    """Streaming a graph with 4N edges to a file peaks within 1.25x of an N-edge one."""
+    names = [f"dev-{i:03d}" for i in range(100)]
+    pairs = [(src, dst) for src in names for dst in names if src != dst]
+
+    def peak(n):
+        counts = FlowCounts({pair: {Dnp3MessageType.READ: i + 1}
+                             for i, pair in enumerate(pairs[:n])})
+        graph = edge_probabilities(counts)
+        out = tmp_path / f"graph-{n}.{fmt}"
+        tracemalloc.start()
+        try:
+            _write_output(str(out), render_chunks(graph, fmt))
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.read_bytes() == render_graph(graph, fmt)
+        return traced
+
+    peak(100)  # warm up caches that a first call fills
+    assert peak(4000) <= 1.25 * peak(1000)
