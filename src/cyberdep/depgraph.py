@@ -197,6 +197,12 @@ class DependencyGraph(Record):
     Nodes and edges are stored sorted (by name, by (source, sink)) so every
     serialization of the same graph is byte-identical. Under GLOBAL
     normalization the edge probabilities of a nonempty graph sum to 1.
+
+    The rules raise in a fixed order, each at its first breach in sorted order:
+    normalization type; duplicate node; duplicate edge or undeclared endpoint;
+    grand_total type and sign; then, when normalized, a zero probability or count
+    without the other, the global or per-sink sum, the by_type total,
+    grand_total, the count share.
     """
 
     __slots__ = ("nodes", "edges", "normalization", "grand_total", "_names", "_in_edges")
@@ -209,79 +215,34 @@ class DependencyGraph(Record):
             raise ValidationError(f"normalization must be a Normalization, got {normalization!r}")
         nodes = tuple(sorted(nodes, key=attrgetter("name")))
         edges = tuple(sorted(edges, key=attrgetter("source", "sink")))
+        for a, b in zip(nodes, nodes[1:]):  # sorted: a duplicate follows its first copy
+            if a.name == b.name:
+                raise ValidationError(f"duplicate node {a.name!r}")
+        names = frozenset(n.name for n in nodes)
 
-        names = set()
-        for n in nodes:
-            if n.name in names:
-                raise ValidationError(f"duplicate node {n.name!r}")
-            names.add(n.name)
-
-        # One pass over the edges. Structure errors raise at once; the first edge to
-        # break each count rule is kept, so the rules below raise in a fixed order.
-        normalized = normalization is not Normalization.NONE
-        keys, in_edges, sink_totals = set(), {}, {}
-        zero_mismatch = type_mismatch = None
-        for e in edges:
-            key = (e.source, e.sink)
-            if key in keys:
+        in_edges: dict[str, list[DgEdge]] = {}
+        for prev, e in zip((None, *edges), edges):
+            if prev is not None and prev.source == e.source and prev.sink == e.sink:
                 raise ValidationError(f"duplicate edge {e.source}->{e.sink}")
-            keys.add(key)
-            for endpoint in key:
+            for endpoint in (e.source, e.sink):
                 if endpoint not in names:
                     raise ValidationError(
                         f"edge {e.source}->{e.sink} references undeclared node {endpoint!r}"
                     )
             in_edges.setdefault(e.sink, []).append(e)
-            if normalized:
-                if zero_mismatch is None and (e.probability == 0.0) != (e.count == 0):
-                    zero_mismatch = e
-                if type_mismatch is None and e.count != sum(e.by_type.values()):
-                    type_mismatch = e
-                sink_totals[e.sink] = sink_totals.get(e.sink, 0) + e.count
 
         if type(grand_total) is not int and not is_integer(grand_total):
             raise ValidationError(f"grand_total must be an integer, got {grand_total!r}")
         if grand_total < 0:
             raise ValidationError("grand_total must be >= 0")
-        if normalized:
-            if e := zero_mismatch:
-                raise ValidationError(
-                    f"edge {e.source}->{e.sink}: zero probability must coincide with zero count"
-                )
-            sink_shares = normalization is Normalization.PER_SINK
-            if not sink_shares and edges:
-                total = math.fsum(e.probability for e in edges)
-                if abs(total - 1.0) > PROBABILITY_SUM_TOL:
-                    raise ValidationError(
-                        f"global normalization violated: probabilities sum to {total!r}"
-                    )
-            for sink, group in in_edges.items() if sink_shares else ():
-                total = math.fsum(e.probability for e in group)
-                if abs(total - 1.0) > PROBABILITY_SUM_TOL:
-                    raise ValidationError(
-                        f"per-sink normalization violated at {sink!r}: sum {total!r}"
-                    )
-            if e := type_mismatch:
-                raise ValidationError(
-                    f"edge {e.source}->{e.sink}: count {e.count} != by_type total "
-                    f"{sum(e.by_type.values())}"
-                )
-            total = sum(sink_totals.values())
-            if grand_total != total:
-                raise ValidationError(f"grand_total {grand_total} != edge count total {total}")
-            for e in edges:
-                share = e.count / (sink_totals[e.sink] if sink_shares else grand_total)
-                if abs(e.probability - share) > PROBABILITY_SUM_TOL:
-                    raise ValidationError(
-                        f"edge {e.source}->{e.sink}: probability {e.probability!r} "
-                        f"!= count share {share!r}"
-                    )
+        if normalization is not Normalization.NONE:
+            _check_normalized(edges, in_edges, normalization is Normalization.PER_SINK, grand_total)
 
         store(self, "nodes", nodes)
         store(self, "edges", edges)
         store(self, "normalization", normalization)
         store(self, "grand_total", grand_total)
-        store(self, "_names", frozenset(names))
+        store(self, "_names", names)
         store(self, "_in_edges", in_edges)
 
     def has_node(self, name: str) -> bool:
@@ -290,6 +251,38 @@ class DependencyGraph(Record):
     def parents_of(self, name: str) -> tuple[DgEdge, ...]:
         """In-edges of a node, sorted by source name."""
         return tuple(self._in_edges.get(name, ()))
+
+
+def _check_normalized(edges: tuple[DgEdge, ...], in_edges: dict[str, list[DgEdge]],
+                      sink_shares: bool, grand_total: int) -> None:
+    """A normalized graph's rules, each in its own pass, in ``DependencyGraph``'s raise order."""
+    for e in edges:
+        if (e.probability == 0.0) != (e.count == 0):
+            raise ValidationError(
+                f"edge {e.source}->{e.sink}: zero probability must coincide with zero count"
+            )
+    if not sink_shares and edges:
+        total = math.fsum(e.probability for e in edges)
+        if abs(total - 1.0) > PROBABILITY_SUM_TOL:
+            raise ValidationError(f"global normalization violated: probabilities sum to {total!r}")
+    for sink, group in in_edges.items() if sink_shares else ():
+        total = math.fsum(e.probability for e in group)
+        if abs(total - 1.0) > PROBABILITY_SUM_TOL:
+            raise ValidationError(f"per-sink normalization violated at {sink!r}: sum {total!r}")
+    for e in edges:
+        if e.count != (typed := sum(e.by_type.values())):
+            raise ValidationError(
+                f"edge {e.source}->{e.sink}: count {e.count} != by_type total {typed}"
+            )
+    sink_totals = {sink: sum(e.count for e in group) for sink, group in in_edges.items()}
+    if grand_total != (total := sum(sink_totals.values())):
+        raise ValidationError(f"grand_total {grand_total} != edge count total {total}")
+    for e in edges:
+        share = e.count / (sink_totals[e.sink] if sink_shares else grand_total)
+        if abs(e.probability - share) > PROBABILITY_SUM_TOL:
+            raise ValidationError(
+                f"edge {e.source}->{e.sink}: probability {e.probability!r} != count share {share!r}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +351,21 @@ def noisy_or(parent_probs: Sequence[float], active: Sequence[int | bool]) -> flo
 class ConditionalQuery(Record):
     """Probability query for one target node given active-parent evidence.
 
-    ``evidence`` maps parent node names to active flags; parents absent from
-    the map are treated as inactive. The query keeps its own copy of the map.
+    ``evidence`` maps parent node names to ``bool`` active flags; parents absent
+    from the map are treated as inactive. The query keeps its own copy of the map.
     """
 
     __slots__ = ("target", "evidence")
 
     def __init__(self, target: str, evidence: Mapping[str, bool] | None = None):
+        if not isinstance(target, str):
+            raise ValidationError(f"query target must be a string, got {target!r}")
+        evidence = {} if evidence is None else dict(evidence)
+        for name, flag in evidence.items():
+            if type(flag) is not bool:
+                raise ValidationError(f"evidence for {name!r} must be a bool, got {flag!r}")
         store(self, "target", target)
-        store(self, "evidence", {} if evidence is None else dict(evidence))
+        store(self, "evidence", evidence)
 
 
 def query(graph: DependencyGraph, q: ConditionalQuery) -> float:
@@ -379,7 +378,7 @@ def query(graph: DependencyGraph, q: ConditionalQuery) -> float:
         if name not in parent_names:
             raise QueryError(f"{name!r} is not a parent of {q.target!r}")
     probs = [e.probability for e in parents]
-    flags = [bool(q.evidence.get(e.source, False)) for e in parents]
+    flags = [q.evidence.get(e.source, False) for e in parents]
     return noisy_or(probs, flags)
 
 

@@ -7,7 +7,7 @@ the SCADA master is drawn with a distinct node shape.
 Each format is one generator of byte chunks, at most CHUNK nodes or edges
 each (``render_chunks``). ``cyberdep build`` and ``export`` write the chunks
 as they come, so a render's peak memory does not grow with the size of the
-output document. ``render_graph`` and ``graph_to_*`` join the chunks.
+output document. ``render_graph`` joins them into one ``bytes``.
 
 Graph JSON schema:
 
@@ -75,10 +75,6 @@ def _json_chunks(graph: DependencyGraph) -> Iterator[bytes]:
     yield (_JSON_TAIL % (graph.normalization.value, graph.grand_total)).encode("utf-8")
 
 
-def graph_to_json_bytes(graph: DependencyGraph) -> bytes:
-    return b"".join(_json_chunks(graph))
-
-
 def load_graph_json(stream: BinaryIO | bytes) -> DependencyGraph:
     """Parse graph JSON back into a DependencyGraph, revalidating all invariants.
 
@@ -135,10 +131,6 @@ def _dot_chunks(graph: DependencyGraph) -> Iterator[bytes]:
     yield b"}\n"
 
 
-def graph_to_dot(graph: DependencyGraph) -> str:
-    return b"".join(_dot_chunks(graph)).decode("utf-8")
-
-
 _GRAPHML_HEAD = """<?xml version='1.0' encoding='UTF-8'?>
 <graphml xmlns="http://graphml.graphdrawing.org/xmlns">
   <key id="role" for="node" attr.name="role" attr.type="string" />
@@ -170,10 +162,6 @@ def _graphml_chunks(graph: DependencyGraph) -> Iterator[bytes]:
                                          format_probability(e.probability))
                         for e in graph.edges)
     yield b"  </graph>\n</graphml>\n"
-
-
-def graph_to_graphml(graph: DependencyGraph) -> bytes:
-    return b"".join(_graphml_chunks(graph))
 
 
 _RENDERERS = {"json": _json_chunks, "dot": _dot_chunks, "graphml": _graphml_chunks}

@@ -95,11 +95,7 @@ def is_number(value) -> bool:
 
 #: Wire name -> modeled function code; the one lookup of the four names.
 MODELED_TYPES = {mt.value: mt for mt in DNP3_SYSCALLS}
-
-
-def parse_message_type(value: str | None) -> Dnp3MessageType:
-    """Map a wire string to a message type; anything unknown is OTHER."""
-    return MODELED_TYPES.get(value, Dnp3MessageType.OTHER)
+_OTHER = Dnp3MessageType.OTHER
 
 
 class PacketRecord(NamedTuple):
@@ -143,8 +139,8 @@ def _check_endpoints(src, dst) -> None:
 
 
 def _message_type(proto: str, fn: str | None) -> Dnp3MessageType:
-    """``fn``'s type when ``proto`` is DNP3 in any case; OTHER otherwise."""
-    return parse_message_type(fn) if proto.lower() == "dnp3" else Dnp3MessageType.OTHER
+    """``fn``'s modeled type when ``proto`` is DNP3 in any case; OTHER otherwise."""
+    return MODELED_TYPES.get(fn, _OTHER) if proto.lower() == "dnp3" else _OTHER
 
 
 def _validate_record(obj: dict, valid: set[str]) -> tuple[int, str, str, Dnp3MessageType]:

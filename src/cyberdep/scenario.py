@@ -207,19 +207,13 @@ def compare(
     ordered = sorted(runs, key=lambda r: (_SCENARIO_ORDER[r.scenario], r.run_id))
     if not ordered:
         raise ValidationError("compare requires at least one run")
-    seen = set()
-    for run in ordered:
-        if run.key in seen:
-            raise ValidationError(
-                f"duplicate run: {run.scenario.value} run {run.run_id}"
-            )
-        seen.add(run.key)
+    for prev, run in zip(ordered, ordered[1:]):  # sorted: a duplicate follows its first copy
+        if prev.key == run.key:
+            raise ValidationError(f"duplicate run: {run.scenario.value} run {run.run_id}")
 
     rankings = {run.key: rank_edges(run.graph) for run in ordered}
 
-    reference = next(
-        (r for r in ordered if r.scenario is ScenarioKind.BASELINE), ordered[0]
-    )
+    reference = next((r for r in ordered if r.scenario is ScenarioKind.BASELINE), ordered[0])
     ref_probs = _edge_probs(reference.graph)
     deltas = []
     for run in ordered:
@@ -227,13 +221,8 @@ def compare(
             continue
         run_probs = _edge_probs(run.graph)
         union = set(ref_probs) | set(run_probs)
-        deltas.append(
-            RunDeltas(
-                run.scenario,
-                run.run_id,
-                {key: run_probs.get(key, 0.0) - ref_probs.get(key, 0.0) for key in union},
-            )
-        )
+        delta = {key: run_probs.get(key, 0.0) - ref_probs.get(key, 0.0) for key in union}
+        deltas.append(RunDeltas(run.scenario, run.run_id, delta))
 
     topology = topology or default_topology()
     master = topology.scada_master.name

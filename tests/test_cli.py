@@ -13,7 +13,7 @@ from cyberdep.cli import _write_output, main
 from cyberdep.depgraph import DependencyGraph
 from cyberdep.errors import FormatError, ValidationError
 from cyberdep.graphio import (
-    CHUNK, FORMATS, graph_to_json_bytes, load_graph_json, render_graph,
+    CHUNK, FORMATS, load_graph_json, render_graph,
 )
 from cyberdep.scenario import ScenarioKind, ScenarioRun
 from conftest import INTRA_DEVICE_ROWS, equal_flow_rows, find_edge, jsonl_bytes, make_topology
@@ -46,7 +46,7 @@ def topo_file(tmp_path):
 @pytest.fixture
 def graph_file(tmp_path, sample_graph):
     path = tmp_path / "graph.json"
-    path.write_bytes(graph_to_json_bytes(sample_graph))
+    path.write_bytes(render_graph(sample_graph, "json"))
     return path
 
 

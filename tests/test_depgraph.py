@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cyberdep.depgraph import (
+    PROBABILITY_SUM_TOL,
     ConditionalQuery,
     DependencyGraph,
     DgEdge,
@@ -33,7 +34,7 @@ from cyberdep.depgraph import (
     query,
 )
 from cyberdep.errors import QueryError, ValidationError
-from cyberdep.ingest import Dnp3MessageType, filter_dnp3, parse_packet_log
+from cyberdep.ingest import Dnp3MessageType, filter_dnp3, is_integer, parse_packet_log
 from cyberdep.synth import builtin_profile, generate
 from cyberdep.topology import Device, DeviceRole, Topology, map_window
 from conftest import (
@@ -492,6 +493,151 @@ class TestGraphValidation:
             DependencyGraph(nodes, tuple(edge(*e) for e in edges), normalization, grand_total)
 
 
+def one_pass_checks(nodes, edges, normalization, grand_total):
+    """``DependencyGraph``'s checks as one interleaved pass over the edges, kept as the oracle.
+
+    The first edge to break each count rule is held back, so the rules still raise
+    in a fixed order. ``DependencyGraph`` checks each rule in its own pass and must
+    raise the same text, or accept the same graphs.
+    """
+    if not isinstance(normalization, Normalization):
+        raise ValidationError(f"normalization must be a Normalization, got {normalization!r}")
+    nodes = tuple(sorted(nodes, key=lambda n: n.name))
+    edges = tuple(sorted(edges, key=lambda e: (e.source, e.sink)))
+    names = set()
+    for n in nodes:
+        if n.name in names:
+            raise ValidationError(f"duplicate node {n.name!r}")
+        names.add(n.name)
+    normalized = normalization is not Normalization.NONE
+    keys, in_edges, sink_totals = set(), {}, {}
+    zero_mismatch = type_mismatch = None
+    for e in edges:
+        key = (e.source, e.sink)
+        if key in keys:
+            raise ValidationError(f"duplicate edge {e.source}->{e.sink}")
+        keys.add(key)
+        for endpoint in key:
+            if endpoint not in names:
+                raise ValidationError(
+                    f"edge {e.source}->{e.sink} references undeclared node {endpoint!r}"
+                )
+        in_edges.setdefault(e.sink, []).append(e)
+        if normalized:
+            if zero_mismatch is None and (e.probability == 0.0) != (e.count == 0):
+                zero_mismatch = e
+            if type_mismatch is None and e.count != sum(e.by_type.values()):
+                type_mismatch = e
+            sink_totals[e.sink] = sink_totals.get(e.sink, 0) + e.count
+    if type(grand_total) is not int and not is_integer(grand_total):
+        raise ValidationError(f"grand_total must be an integer, got {grand_total!r}")
+    if grand_total < 0:
+        raise ValidationError("grand_total must be >= 0")
+    if not normalized:
+        return
+    if e := zero_mismatch:
+        raise ValidationError(
+            f"edge {e.source}->{e.sink}: zero probability must coincide with zero count"
+        )
+    sink_shares = normalization is Normalization.PER_SINK
+    if not sink_shares and edges:
+        total = math.fsum(e.probability for e in edges)
+        if abs(total - 1.0) > PROBABILITY_SUM_TOL:
+            raise ValidationError(f"global normalization violated: probabilities sum to {total!r}")
+    for sink, group in in_edges.items() if sink_shares else ():
+        total = math.fsum(e.probability for e in group)
+        if abs(total - 1.0) > PROBABILITY_SUM_TOL:
+            raise ValidationError(f"per-sink normalization violated at {sink!r}: sum {total!r}")
+    if e := type_mismatch:
+        raise ValidationError(
+            f"edge {e.source}->{e.sink}: count {e.count} != by_type total "
+            f"{sum(e.by_type.values())}"
+        )
+    total = sum(sink_totals.values())
+    if grand_total != total:
+        raise ValidationError(f"grand_total {grand_total} != edge count total {total}")
+    for e in edges:
+        share = e.count / (sink_totals[e.sink] if sink_shares else grand_total)
+        if abs(e.probability - share) > PROBABILITY_SUM_TOL:
+            raise ValidationError(
+                f"edge {e.source}->{e.sink}: probability {e.probability!r} "
+                f"!= count share {share!r}"
+            )
+
+
+@st.composite
+def rule_breaking_graphs(draw):
+    """A small graph's parts that may break several rules at once.
+
+    Each flaw is drawn on its own: a duplicate node, an undeclared node, an
+    endpoint ``g`` that no node names, a duplicate edge, by_type totals that may
+    miss their counts by one. Probabilities are the global or per-sink shares
+    (most often those of the graph's own normalization) of the counts or of
+    other weights, or drawn freely. grand_total is the count total, off by one,
+    -1 or 2.5.
+    """
+    flaw = st.sampled_from([False] * 5 + [True])
+    names = ["a", "b", "c", "s"]
+    if draw(flaw):
+        names.remove(draw(st.sampled_from(names)))
+    if draw(flaw):
+        names.append(draw(st.sampled_from(names)))
+    ends = "abcsg" if draw(flaw) else "abcs"
+    pairs = st.tuples(st.sampled_from(ends), st.sampled_from("ss" + ends))  # most into s
+    pairs = pairs.filter(lambda pair: pair[0] != pair[1])
+    pairs = draw(st.lists(pairs, min_size=1, max_size=6, unique=not draw(flaw)))
+    count = st.sampled_from([1, 2, 3, 4, 0])
+    counts = [draw(count) for _ in pairs]
+    sinks = [sink for _, sink in pairs]
+
+    normalization = draw(st.sampled_from(Normalization))
+    shares = draw(st.sampled_from([normalization.value] * 2 + ["global", "per-sink", "none"]))
+    weights = draw(st.sampled_from([counts, [draw(count) for _ in pairs]]))
+    probs = []
+    for sink, weight in zip(sinks, weights):
+        group = range(len(pairs)) if shares == "global" else [
+            i for i, other in enumerate(sinks) if other == sink]
+        denominator = sum(weights[i] for i in group)
+        if shares == "none":  # drawn freely
+            probs.append(draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])))
+        else:
+            probs.append(weight / denominator if denominator else 0.0)
+
+    typed_off = draw(st.booleans())
+    edges = []
+    for (source, sink), n, p in zip(pairs, counts, probs):
+        typed = max(0, n + draw(st.sampled_from([-1, 0, 1]))) if typed_off else n
+        read = draw(st.integers(0, typed))
+        edges.append(DgEdge(source, sink, p, n, {READ: read, RESPOND: typed - read}))
+    total = sum(counts)
+    grand_total = draw(st.sampled_from([total, total, total - 1, total + 1, -1, 2.5]))
+    nodes = [DgNode(name) for name in names]
+    return nodes, edges, normalization, grand_total
+
+
+def raised(check, *args):
+    """The ValidationError text ``check(*args)`` raises, or None if it accepts."""
+    try:
+        check(*args)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+@given(rule_breaking_graphs())
+@example(([DgNode("a")], [], Normalization.GLOBAL, 1))
+@example(([DgNode("a"), DgNode("a")], [DgEdge("a", "g", 0.5)], "global", -1))
+@example((  # each sink's sum is checked in the order the sorted edges reach it
+    [DgNode(n) for n in "abcs"],
+    [DgEdge("b", "c", 0.5, 1, {READ: 1}), DgEdge("a", "s", 0.5, 1, {READ: 1})],
+    Normalization.PER_SINK, 2))
+@example(([DgNode("a"), DgNode("s")], [DgEdge("a", "s", 1.0, 2, {READ: 3})],
+          Normalization.GLOBAL, 3))
+@settings(max_examples=500)
+def test_rules_raise_as_the_one_pass_checks_did(case):
+    assert raised(DependencyGraph, *case) == raised(one_pass_checks, *case)
+
+
 # -- query -------------------------------------------------------------------
 
 
@@ -528,6 +674,15 @@ class TestQuery:
     def test_non_parent_evidence(self, sample_graph):
         with pytest.raises(QueryError, match="'P9' is not a parent of 'F7'"):
             query(sample_graph, ConditionalQuery("F7", {"P9": True}))
+
+    @pytest.mark.parametrize("target, evidence, message", [
+        (["x"], None, "query target must be a string, got ['x']"),
+        ("scada", {"gen-1": "no"}, "evidence for 'gen-1' must be a bool, got 'no'"),
+        ("scada", {"gen-1": 1}, "evidence for 'gen-1' must be a bool, got 1"),
+    ])
+    def test_target_and_flags_checked(self, target, evidence, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ConditionalQuery(target, evidence)
 
     def test_keeps_its_own_evidence(self, sample_graph):
         evidence = {"P1": True}

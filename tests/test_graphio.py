@@ -28,9 +28,6 @@ from cyberdep.cli import _write_output
 from cyberdep.graphio import (
     CHUNK,
     FORMATS,
-    graph_to_dot,
-    graph_to_graphml,
-    graph_to_json_bytes,
     load_graph_json,
     render_chunks,
     render_graph,
@@ -52,7 +49,7 @@ def traffic_graph():
 
 class TestJson:
     def test_dict_shape(self, traffic_graph):
-        doc = json.loads(graph_to_json_bytes(traffic_graph))
+        doc = json.loads(render_graph(traffic_graph, "json"))
         assert set(doc) == {"nodes", "edges", "normalization", "grand_total"}
         assert doc["normalization"] == "global"
         assert doc["grand_total"] == 100
@@ -69,13 +66,13 @@ class TestJson:
         assert edge["by_type"]["read"] == 30
 
     def test_round_trip_identity(self, traffic_graph):
-        back = load_graph_json(graph_to_json_bytes(traffic_graph))
+        back = load_graph_json(render_graph(traffic_graph, "json"))
         assert back == traffic_graph
         assert back.normalization is traffic_graph.normalization
         assert back.grand_total == traffic_graph.grand_total
 
     def test_round_trip_sample(self, sample_graph):
-        assert load_graph_json(graph_to_json_bytes(sample_graph)) == sample_graph
+        assert load_graph_json(render_graph(sample_graph, "json")) == sample_graph
 
     def test_defaults_fill_in(self):
         doc = {
@@ -209,7 +206,7 @@ class TestJson:
 
 class TestDot:
     def test_sample_graph_text(self, sample_graph):
-        dot = graph_to_dot(sample_graph)
+        dot = render_graph(sample_graph, "dot").decode()
         assert dot.startswith("digraph dependency_graph {\n")
         assert dot.endswith("}\n")
         assert '  P1 -> F4 [label="0.30"];' in dot
@@ -217,12 +214,12 @@ class TestDot:
         assert "  F2 [shape=ellipse];" in dot
 
     def test_scada_master_drawn_as_box(self, traffic_graph):
-        dot = graph_to_dot(traffic_graph)
+        dot = render_graph(traffic_graph, "dot").decode()
         assert "scada [shape=box];" in dot
         assert '"load-5" [shape=ellipse];' in dot
 
     def test_hyphenated_names_quoted(self, traffic_graph):
-        dot = graph_to_dot(traffic_graph)
+        dot = render_graph(traffic_graph, "dot").decode()
         assert '"load-5" -> scada [label="0.50"];' in dot
 
     def test_quote_escaping(self):
@@ -231,26 +228,26 @@ class TestDot:
             (DgEdge('we"ird', "b", 0.5),),
             Normalization.NONE,
         )
-        dot = graph_to_dot(g)
+        dot = render_graph(g, "dot").decode()
         assert '"we\\"ird"' in dot
 
     def test_trailing_newline_quoted(self):
         g = DependencyGraph((DgNode("a\n"), DgNode("b")), (DgEdge("a\n", "b", 0.5),))
-        assert '  "a\n" -> b [label="0.50"];' in graph_to_dot(g)
+        assert '  "a\n" -> b [label="0.50"];' in render_graph(g, "dot").decode()
 
     @pytest.mark.parametrize("name", ["node", "Graph", "EDGE"])
     def test_keywords_quoted(self, name):
         g = DependencyGraph(
             (DgNode(name), DgNode("scada")), (DgEdge(name, "scada", 0.5),), Normalization.NONE
         )
-        dot = graph_to_dot(g)
+        dot = render_graph(g, "dot").decode()
         assert f'  "{name}" [shape=ellipse];' in dot
         assert f'  "{name}" -> scada [label="0.50"];' in dot
 
 
 class TestGraphml:
     def test_well_formed_and_complete(self, traffic_graph):
-        blob = graph_to_graphml(traffic_graph)
+        blob = render_graph(traffic_graph, "graphml")
         root = ET.fromstring(blob)
         ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
         assert root.tag == "{http://graphml.graphdrawing.org/xmlns}graphml"
@@ -269,14 +266,14 @@ class TestGraphml:
         assert data["label"] == "0.50"
 
     def test_declares_keys_before_graph(self, traffic_graph):
-        root = ET.fromstring(graph_to_graphml(traffic_graph))
+        root = ET.fromstring(render_graph(traffic_graph, "graphml"))
         kinds = [(el.get("id"), el.get("for")) for el in root
                  if el.tag.endswith("key")]
         assert ("role", "node") in kinds
         assert ("probability", "edge") in kinds
 
     def test_probability_survives_exactly(self, sample_graph):
-        root = ET.fromstring(graph_to_graphml(sample_graph))
+        root = ET.fromstring(render_graph(sample_graph, "graphml"))
         ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
         probs = [
             float(d.text)
@@ -312,7 +309,7 @@ def test_graphml_round_trips_names_or_rejects_them(names):
         return
     edges = tuple(DgEdge(src, sink, 0.5) for src, sink in zip(names, names[1:]))
     graph = DependencyGraph(tuple(DgNode(n) for n in names), edges, Normalization.NONE)
-    root = ET.fromstring(graph_to_graphml(graph))
+    root = ET.fromstring(render_graph(graph, "graphml"))
     ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
     graph_el = root.find("g:graph", ns)
     node_ids = [n.get("id") for n in graph_el.findall("g:node", ns)]
@@ -418,8 +415,8 @@ def oracle_graphs(draw):
 @given(oracle_graphs())
 @settings(max_examples=400, deadline=None)
 def test_templates_match_the_encoder_renderers(graph):
-    assert graph_to_json_bytes(graph) == oracle_json(graph)
-    assert graph_to_graphml(graph) == oracle_graphml(graph)
+    assert render_graph(graph, "json") == oracle_json(graph)
+    assert render_graph(graph, "graphml") == oracle_graphml(graph)
 
 
 @pytest.mark.parametrize("p", [5e-324, 1e-17])
@@ -437,8 +434,8 @@ def test_templates_match_at_tiny_probabilities(p, fmt):
                     Normalization.PER_SINK),
 ])
 def test_templates_match_without_edges(graph):
-    assert graph_to_json_bytes(graph) == oracle_json(graph)
-    assert graph_to_graphml(graph) == oracle_graphml(graph)
+    assert render_graph(graph, "json") == oracle_json(graph)
+    assert render_graph(graph, "graphml") == oracle_graphml(graph)
 
 
 def test_cli_import_loads_no_xml_library():
@@ -455,9 +452,9 @@ def test_cli_import_loads_no_xml_library():
 def test_integer_probability_round_trips_byte_stable():
     edge = DgEdge("a", "s", 1, 3, {Dnp3MessageType.READ: 3})
     graph = DependencyGraph((DgNode("a"), DgNode("s")), (edge,), Normalization.GLOBAL, 3)
-    data = graph_to_json_bytes(graph)
+    data = render_graph(graph, "json")
     assert b'"probability": 1.0,' in data
-    assert graph_to_json_bytes(load_graph_json(data)) == data
+    assert render_graph(load_graph_json(data), "json") == data
 
 
 DOT_ID = r'[A-Za-z_][A-Za-z0-9_]*|"(?:[^"\\]|\\.)*"'
@@ -486,7 +483,7 @@ def test_dot_round_trips_names(names, data):
         Normalization.NONE,
     )
     header = "digraph dependency_graph {\n"
-    text = graph_to_dot(graph)
+    text = render_graph(graph, "dot").decode()
     assert text.startswith(header) and text.endswith("}\n")
     body, pos, nodes, edges = text[len(header):-2], 0, set(), set()
     while pos < len(body):
@@ -507,9 +504,6 @@ class TestRenderDispatch:
     def test_each_format_byte_deterministic(self, traffic_graph):
         for fmt in FORMATS:
             assert render_graph(traffic_graph, fmt) == render_graph(traffic_graph, fmt)
-
-    def test_json_route_equals_direct_call(self, traffic_graph):
-        assert render_graph(traffic_graph, "json") == graph_to_json_bytes(traffic_graph)
 
     def test_unknown_format(self, traffic_graph):
         with pytest.raises(FormatError, match="svg"):

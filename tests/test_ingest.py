@@ -14,10 +14,10 @@ from cyberdep.ingest import (
     CaptureWindow,
     Dnp3MessageType,
     RejectedLine,
+    _message_type,
     export_csv,
     filter_dnp3,
     parse_csv,
-    parse_message_type,
     parse_packet_log,
 )
 from conftest import jsonl_bytes
@@ -135,13 +135,17 @@ class TestParsePacketLog:
         assert window.stats.total == 0
 
 
-def test_parse_message_type_wire_names():
-    assert parse_message_type("read") is Dnp3MessageType.READ
-    assert parse_message_type("response") is Dnp3MessageType.RESPOND
-    assert parse_message_type("request_link_status") is Dnp3MessageType.REQUEST_LINK_STATUS
-    assert parse_message_type("direct_operate") is Dnp3MessageType.DIRECT_OPERATE
-    assert parse_message_type("READ") is Dnp3MessageType.OTHER
-    assert parse_message_type("") is Dnp3MessageType.OTHER
+def test_message_type_wire_names():
+    assert _message_type("dnp3", "read") is Dnp3MessageType.READ
+    assert _message_type("dnp3", "response") is Dnp3MessageType.RESPOND
+    assert _message_type("dnp3", "request_link_status") is Dnp3MessageType.REQUEST_LINK_STATUS
+    assert _message_type("dnp3", "direct_operate") is Dnp3MessageType.DIRECT_OPERATE
+    assert _message_type("dnp3", "READ") is Dnp3MessageType.OTHER
+    assert _message_type("dnp3", "") is Dnp3MessageType.OTHER
+    assert _message_type("dnp3", None) is Dnp3MessageType.OTHER
+    assert _message_type("DNP3", "read") is Dnp3MessageType.READ  # proto in any case
+    for proto in ("modbus", "dnp", "dnp3 ", ""):
+        assert _message_type(proto, "read") is Dnp3MessageType.OTHER
 
 
 def test_syscall_tuple_is_the_four_modeled_codes():

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import cyberdep
 from cyberdep.cli import main
 from cyberdep.errors import CyberDepError, FormatError, ValidationError
-from cyberdep.graphio import graph_to_json_bytes, load_graph_json
+from cyberdep.graphio import load_graph_json, render_graph
 from cyberdep.ingest import parse_packet_log, read_json
 from cyberdep.synth import load_profile
 from cyberdep.topology import load_topology
@@ -83,7 +83,7 @@ def test_documents_keep_json_loads_encodings(encoding):
 
 
 def test_huge_integer_that_no_float_holds_is_rejected(sample_graph):
-    doc = json.loads(graph_to_json_bytes(sample_graph))
+    doc = json.loads(render_graph(sample_graph, "json"))
     edge = doc["edges"][0]
     edge["probability"] = 10**400
     with pytest.raises(ValidationError) as exc:
