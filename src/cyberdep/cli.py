@@ -64,11 +64,9 @@ def _pick_format(args) -> str:
     return args.format or _FORMAT_SUFFIXES.get(Path(args.out or "").suffix.lower(), "json")
 
 
-def _build_from_capture(args, capture_path: str, topo: topology.Topology):
-    options = depgraph.GraphOptions(
-        scada_collapse=not args.no_scada_collapse,
-        normalization=depgraph.Normalization(args.normalization),
-    )
+def _build_from_capture(
+    capture_path: str, topo: topology.Topology, options: depgraph.GraphOptions, verbose: bool
+):
     with _existing_file(capture_path, "input").open("rb") as lines:
         result = depgraph.build_graph(lines, topo, options)
 
@@ -82,7 +80,7 @@ def _build_from_capture(args, capture_path: str, topo: topology.Topology):
         f"{capture_path}: mapped {retained - result.unmapped.records} records "
         f"({result.unmapped.records} unmapped); non-scada flow dropped: {result.scada_dropped}"
     )
-    if args.verbose:
+    if verbose:
         for reject in result.rejections:
             _diag(f"  rejected line {reject.line_no}: {reject.reason}")
         hidden = result.stats.rejected - len(result.rejections)
@@ -95,7 +93,9 @@ def _build_from_capture(args, capture_path: str, topo: topology.Topology):
 
 def cmd_build(args) -> int:
     topo = _load_topology(args)
-    graph = _build_from_capture(args, args.input, topo)
+    normalization = depgraph.Normalization(args.normalization)
+    options = depgraph.GraphOptions(not args.no_scada_collapse, normalization)
+    graph = _build_from_capture(args.input, topo, options, args.verbose)
     fmt = _pick_format(args)
     _write_output(args.out, graphio.render_chunks(graph, fmt))
     _diag(
@@ -164,7 +164,7 @@ def cmd_compare(args) -> int:
         if not isinstance(capture, str):
             raise FormatError(f"manifest[{i}]: 'capture' must be a path string")
         capture_path = str((manifest_path.parent / capture))
-        graph = _build_from_capture(args, capture_path, topo)
+        graph = _build_from_capture(capture_path, topo, depgraph.GraphOptions(), args.verbose)
         try:
             runs.append(scenario.ScenarioRun(kind, entry.get("run_id"), capture, graph))
         except ValidationError as exc:  # the record's text does not say which entry
@@ -256,10 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_compare.add_argument("--out", help="report path ('-' or absent: stdout)")
     p_compare.add_argument("--format", choices=["json", "text"], default="json")
-    p_compare.add_argument(
-        "--normalization", choices=["global", "per-sink"], default="global"
-    )
-    p_compare.add_argument("--no-scada-collapse", action="store_true")
     p_compare.add_argument(
         "--uniformity-tol",
         type=_tolerance,

@@ -104,18 +104,11 @@ class ScenarioFlags(NamedTuple):
     mitigation_pattern: bool | None = None
 
 
-class RunDeltas(NamedTuple):
-    scenario: ScenarioKind
-    run_id: int
-    #: (source, sink) -> probability delta vs reference, over the edge union.
-    deltas: dict
-
-
 class ComparisonReport(NamedTuple):
     runs: tuple[ScenarioRun, ...]
     reference: tuple[ScenarioKind, int]
     rankings: dict  # run key -> list[DgEdge]
-    deltas: tuple[RunDeltas, ...]
+    deltas: dict  # run key -> {(source, sink): delta vs reference}; the reference has none
     flags: ScenarioFlags
     #: flag name -> signature devices the topology lacks, for flags left None.
     unchecked: dict
@@ -138,14 +131,14 @@ class ComparisonReport(NamedTuple):
             ],
             "deltas": [
                 {
-                    "scenario": rd.scenario.value,
-                    "run_id": rd.run_id,
+                    "scenario": kind.value,
+                    "run_id": run_id,
                     "edges": [
                         {"source": src, "sink": sink, "delta": delta}
-                        for (src, sink), delta in sorted(rd.deltas.items())
+                        for (src, sink), delta in sorted(deltas.items())
                     ],
                 }
-                for rd in self.deltas
+                for (kind, run_id), deltas in self.deltas.items()
             ],
             "flags": self.flags._asdict(),
         }
@@ -162,9 +155,9 @@ class ComparisonReport(NamedTuple):
                 )
         if self.deltas:
             lines.append("deltas vs reference:")
-            for rd in self.deltas:
-                lines.append(f"  {rd.scenario.value} run {rd.run_id}")
-                for (src, sink), delta in sorted(rd.deltas.items()):
+            for (kind, run_id), deltas in self.deltas.items():
+                lines.append(f"  {kind.value} run {run_id}")
+                for (src, sink), delta in sorted(deltas.items()):
                     lines.append(f"    {src} -> {sink}  {delta:+.4f}")
         rendered = ", ".join(
             f"{name}={'n/a' if value is None else str(value).lower()}"
@@ -215,14 +208,13 @@ def compare(
 
     reference = next((r for r in ordered if r.scenario is ScenarioKind.BASELINE), ordered[0])
     ref_probs = _edge_probs(reference.graph)
-    deltas = []
+    deltas = {}
     for run in ordered:
         if run.key == reference.key:
             continue
         run_probs = _edge_probs(run.graph)
         union = set(ref_probs) | set(run_probs)
-        delta = {key: run_probs.get(key, 0.0) - ref_probs.get(key, 0.0) for key in union}
-        deltas.append(RunDeltas(run.scenario, run.run_id, delta))
+        deltas[run.key] = {key: run_probs.get(key, 0.0) - ref_probs.get(key, 0.0) for key in union}
 
     topology = topology or default_topology()
     master = topology.scada_master.name
@@ -244,7 +236,7 @@ def compare(
         runs=tuple(ordered),
         reference=reference.key,
         rankings=rankings,
-        deltas=tuple(deltas),
+        deltas=deltas,
         flags=ScenarioFlags(**flags),
         unchecked=unchecked,
     )

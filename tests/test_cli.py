@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, exit codes, artifact routing."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -284,6 +285,24 @@ class TestStreamedOutput:
             _write_output(str(out), failing())
         assert out.read_bytes() == b"earlier output\n"
 
+    @pytest.mark.parametrize("command", [
+        ["build", "--in", "capture.jsonl", "--topo", "topo.json"],
+        ["export", "--in", "graph.json", "--format", "dot"],
+        ["synth", "--profile", "baseline", "--n", "10"],
+        ["compare", "--in", "manifest.json"],
+    ], ids=lambda argv: argv[0])
+    def test_out_into_a_missing_directory_is_an_io_error(self, capture_file, topo_file,
+                                                         graph_file, tmp_path, monkeypatch,
+                                                         capsys, command):
+        monkeypatch.chdir(tmp_path)
+        Path("manifest.json").write_text(json.dumps(
+            [{"scenario": "baseline", "run_id": 1, "capture": "capture.jsonl"}]))
+        out = tmp_path / "missing" / "out"
+        assert main([*command, "--out", str(out)]) == 1
+        *_, last = capsys.readouterr().err.splitlines()
+        assert last == (f"cyberdep {command[0]}: i/o error: "
+                        f"[Errno 2] No such file or directory: {str(out)!r}")
+
 
 class TestQuery:
     def test_two_active_parents(self, graph_file, capsys):
@@ -472,11 +491,49 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.endswith(f"cyberdep compare: error: manifest[1]: {message}\n")
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"scenario": "baseline", "run_id": 1, "capture": 5},
+         "manifest[0]: 'capture' must be a path string"),
+        ({"scenario": "baseline", "run_id": 1, "capture": ["b1.jsonl"]},
+         "manifest[0]: 'capture' must be a path string"),
+        ({"scenario": "baseline", "run_id": 1}, "manifest[0]: 'capture' must be a path string"),
+        ("b1.jsonl", "manifest[0] is not an object"),
+    ], ids=["int", "list", "missing", "not-an-object"])
+    def test_bad_entry_exits_1(self, tmp_path, capsys, entry, message):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps([entry]))
+        assert main(["compare", "--in", str(path)]) == 1
+        assert capsys.readouterr().err == f"cyberdep compare: error: {message}\n"
+
     def test_unknown_scenario_exits_1(self, tmp_path, capsys):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps([{"scenario": "zombie", "run_id": 1, "capture": "x"}]))
         assert main(["compare", "--in", str(path)]) == 1
         assert "unknown scenario" in capsys.readouterr().err
+
+    # sha256 of compare's stdout and stderr on the four scenario captures CI makes
+    # (synth --n 8000 --seed 1), taken while compare still read graph options.
+    FOUR_SCENARIO_SHA256 = {
+        (): ("84d5e24c3501f4df45bb76337d102fd2234237884711e4784e5fa467ae269de3",
+             "2c2294515f5152915e3d4d929496798723718a53762795299394d1ced826a2b1"),
+        ("--format", "text", "-v"): (
+            "8278b945adbf6158c9b5dc2c2f116b55ff2b69b9bd6707fdf9d4b1bedfc6b31a",
+            "2c2294515f5152915e3d4d929496798723718a53762795299394d1ced826a2b1"),
+    }
+
+    def test_four_scenario_bytes_pinned(self, tmp_path, monkeypatch, capsysbinary):
+        monkeypatch.chdir(tmp_path)  # stderr names each capture as the manifest does
+        kinds = [kind.value for kind in ScenarioKind]
+        for kind in kinds:
+            assert main(["synth", "--profile", kind, "--n", "8000", "--seed", "1",
+                         "--out", f"{kind}.jsonl"]) == 0
+        Path("manifest.json").write_text(json.dumps(
+            [{"scenario": kind, "run_id": 1, "capture": f"{kind}.jsonl"} for kind in kinds]))
+        capsysbinary.readouterr()
+        for argv, digests in self.FOUR_SCENARIO_SHA256.items():
+            assert main(["compare", "--in", "manifest.json", *argv]) == 0
+            out, err = capsysbinary.readouterr()
+            assert (hashlib.sha256(out).hexdigest(), hashlib.sha256(err).hexdigest()) == digests
 
     def test_capture_paths_relative_to_manifest(self, tmp_path):
         sub = tmp_path / "runs"
@@ -522,6 +579,15 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([*command, "-v"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flags", [["--normalization", "per-sink"], ["--no-scada-collapse"]],
+                             ids=["normalization", "no-scada-collapse"])
+    def test_compare_takes_no_graph_options(self, capsys, flags):
+        """compare builds every run collapsed and globally normalized, as its flags assume."""
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--in", "manifest.json", *flags])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
 
 class TestStartup:

@@ -849,6 +849,33 @@ class TestBuildGraphFromLines:
             mapped = stats.parsed - stats.filtered_out - result.unmapped.records
             assert mapped == result.graph.grand_total + result.scada_dropped
 
+    @settings(max_examples=300, deadline=None)
+    @given(flows=st.dictionaries(
+        st.tuples(st.sampled_from(ADDRESSES), st.sampled_from(ADDRESSES),
+                  st.sampled_from(["read", "response", "request_link_status", "direct_operate"])),
+        st.integers(1, 40), max_size=12,
+    ))
+    def test_collapsed_per_sink_equals_global(self, flows):
+        """After the SCADA collapse every edge sinks at the master, whose total is the
+        grand total, so per-sink shares are the global ones to the last bit."""
+        data = jsonl_bytes(
+            {"ts_us": 0, "src": src, "dst": dst, "proto": "dnp3", "dnp3_fn": fn}
+            for (src, dst, fn), n in flows.items() for _ in range(n)
+        )
+        per_sink, global_ = (
+            build_graph(io.BytesIO(data), STREAM_TOPOLOGY, GraphOptions(True, normalization))
+            for normalization in (Normalization.PER_SINK, Normalization.GLOBAL)
+        )
+        assert per_sink.graph.normalization is Normalization.PER_SINK
+        assert per_sink._replace(graph=None) == global_._replace(graph=None)
+        assert per_sink.graph.nodes == global_.graph.nodes
+        assert per_sink.graph.grand_total == global_.graph.grand_total
+
+        def edges(result):
+            return [(e.key, e.count, e.by_type, e.probability.hex()) for e in result.graph.edges]
+
+        assert edges(per_sink) == edges(global_)
+
     def test_peak_memory_flat_in_capture_length(self, wscc, tmp_path):
         """A streamed build of a 4N-line capture peaks within 1.25x of an N-line one."""
 

@@ -81,8 +81,6 @@ options:
 """,
     "compare": """\
 usage: cyberdep compare [-h] --in INPUT [--out OUT] [--format {json,text}]
-                        [--normalization {global,per-sink}]
-                        [--no-scada-collapse]
                         [--uniformity-tol UNIFORMITY_TOL] [-v] [--topo TOPO]
 
 options:
@@ -91,8 +89,6 @@ options:
                         "capture"}
   --out OUT             report path ('-' or absent: stdout)
   --format {json,text}
-  --normalization {global,per-sink}
-  --no-scada-collapse
   --uniformity-tol UNIFORMITY_TOL
                         tolerance for the baseline uniformity flag
   -v, --verbose         verbose diagnostics

@@ -24,7 +24,6 @@ from cyberdep.ingest import (
 from cyberdep.record import Record
 from cyberdep.scenario import (
     ComparisonReport,
-    RunDeltas,
     ScenarioFlags,
     ScenarioKind,
     ScenarioRun,
@@ -62,8 +61,7 @@ RECORDS = [
     (lambda: UnmappedReport(1, {"10.0.0.9": 1}), False),
     (lambda: ScenarioRun(ScenarioKind.BASELINE, 1, "cap.jsonl", graph()), True),
     (lambda: ScenarioFlags(True, None, False, None), True),
-    (lambda: RunDeltas(ScenarioKind.DOS_ONLY, 1, {("a", "s"): 0.0}), False),
-    (lambda: ComparisonReport((), (ScenarioKind.BASELINE, 1), {}, (), ScenarioFlags(), {}),
+    (lambda: ComparisonReport((), (ScenarioKind.BASELINE, 1), {}, {}, ScenarioFlags(), {}),
      False),
     (lambda: TrafficProfile(ScenarioKind.BASELINE, {"a": 1.0}, n_messages=5), False),
 ]

@@ -151,18 +151,19 @@ class TestCompare:
             run(ScenarioKind.BASELINE, 2, BASE),
             run(ScenarioKind.BASELINE, 3, BASE),
         ])
-        assert len(report.deltas) == 2  # reference excluded
-        for rd in report.deltas:
-            assert rd.deltas
-            assert all(d == 0.0 for d in rd.deltas.values())
+        assert list(report.deltas) == [(ScenarioKind.BASELINE, 2), (ScenarioKind.BASELINE, 3)]
+        for deltas in report.deltas.values():
+            assert deltas
+            assert all(d == 0.0 for d in deltas.values())
 
     def test_deltas_over_edge_union(self):
         ref = run(ScenarioKind.BASELINE, 1, {"a": 0.6, "b": 0.4})
         other = run(ScenarioKind.DOS_ONLY, 1, {"b": 0.9, "c": 0.1})
-        (rd,) = compare([ref, other]).deltas
-        assert rd.deltas[("a", "scada")] == pytest.approx(-0.6)
-        assert rd.deltas[("b", "scada")] == pytest.approx(0.5)
-        assert rd.deltas[("c", "scada")] == pytest.approx(0.1)
+        deltas = compare([ref, other]).deltas
+        assert list(deltas) == [other.key]
+        assert deltas[other.key] == pytest.approx(
+            {("a", "scada"): -0.6, ("b", "scada"): 0.5, ("c", "scada"): 0.1}
+        )
 
     def test_no_baseline_uses_first_run_as_reference(self):
         report = compare([

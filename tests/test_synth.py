@@ -19,6 +19,7 @@ from cyberdep.synth import (
     generate,
     load_profile,
 )
+from cyberdep.topology import Device, DeviceRole, Topology
 from conftest import make_topology
 
 
@@ -182,9 +183,15 @@ class TestGenerate:
         with pytest.raises(ValidationError, match="unknown device 'ghost'"):
             generate(profile(topo, weights={"ghost": 1.0}), topo)
 
-    def test_scada_weight_rejected(self, topo):
-        with pytest.raises(ValidationError, match="SCADA master"):
-            generate(profile(topo, weights={"scada": 1.0}), topo)
+    @pytest.mark.parametrize("weights, message", [
+        ({"scada": 1.0}, "the SCADA master cannot carry a traffic weight"),
+        ({"dark": 1.0}, "device 'dark' has no address"),
+    ], ids=["scada", "no-address"])
+    def test_weight_needs_an_addressed_field_device(self, topo, weights, message):
+        topo = Topology((*topo.devices, Device("dark", DeviceRole.FIELD_DEVICE, frozenset())))
+        with pytest.raises(ValidationError) as exc:
+            generate(profile(topo, weights=weights), topo)
+        assert str(exc.value) == message
 
     def test_noise_interleaved_and_filterable(self, topo):
         p = profile(topo, n_messages=1000, noise_fraction=0.1)

@@ -101,6 +101,10 @@ class TestLoadTopology:
              ValidationError(f"{BAD_NAME}got 'a\\x01'")),
             (topo_doc([{"name": "a\ud800", "role": "scada", "addrs": []}]),
              ValidationError(f"{BAD_NAME}got 'a\\ud800'")),
+            (topo_doc([SCADA, "dev"]), r"^devices\[1\] is not an object$"),
+            (topo_doc([SCADA, {"name": "a", "role": "field", "addrs": ["10.0.0.2"]},
+                       {"name": "b", "role": "field", "addrs": ["10.0.0.2"]}]),
+             ValidationError("address 10.0.0.2 claimed by both 'a' and 'b'")),
         ],
     )
     def test_malformed_documents(self, payload, match):
