@@ -60,10 +60,6 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _pick_format(args) -> str:
-    return args.format or _FORMAT_SUFFIXES.get(Path(args.out or "").suffix.lower(), "json")
-
-
 def _build_from_capture(
     capture_path: str, topo: topology.Topology, options: depgraph.GraphOptions, verbose: bool
 ):
@@ -96,7 +92,7 @@ def cmd_build(args) -> int:
     normalization = depgraph.Normalization(args.normalization)
     options = depgraph.GraphOptions(not args.no_scada_collapse, normalization)
     graph = _build_from_capture(args.input, topo, options, args.verbose)
-    fmt = _pick_format(args)
+    fmt = args.format or _FORMAT_SUFFIXES.get(Path(args.out or "").suffix.lower(), "json")
     _write_output(args.out, graphio.render_chunks(graph, fmt))
     _diag(
         f"graph: {len(graph.nodes)} nodes, {len(graph.edges)} edges, "
@@ -113,8 +109,8 @@ def cmd_export(args) -> int:
 
 def cmd_query(args) -> int:
     graph = graphio.load_graph_json(_existing_file(args.input, "input").read_bytes())
-    active = [name for name in (args.active or "").split(",") if name]
-    q = depgraph.ConditionalQuery(args.target, {name: True for name in active})
+    active = filter(None, args.active.split(","))
+    q = depgraph.ConditionalQuery(args.target, dict.fromkeys(active, True))
     result = depgraph.query(graph, q)
     print(f"{result:.6g}")
     return 0
@@ -152,8 +148,8 @@ def cmd_compare(args) -> int:
     if not isinstance(entries, list) or not entries:
         raise FormatError("manifest must be a non-empty json list")
 
-    runs = []
-    for i, entry in enumerate(entries):
+    runs, no_graph = [], depgraph.DependencyGraph((), ())
+    for i, entry in enumerate(entries):  # judge every entry before building any capture
         if not isinstance(entry, dict):
             raise FormatError(f"manifest[{i}] is not an object")
         try:
@@ -163,12 +159,15 @@ def cmd_compare(args) -> int:
         capture = entry.get("capture")
         if not isinstance(capture, str):
             raise FormatError(f"manifest[{i}]: 'capture' must be a path string")
-        capture_path = str((manifest_path.parent / capture))
-        graph = _build_from_capture(capture_path, topo, depgraph.GraphOptions(), args.verbose)
+        _existing_file(manifest_path.parent / capture, "input")
         try:
-            runs.append(scenario.ScenarioRun(kind, entry.get("run_id"), capture, graph))
+            runs.append(scenario.ScenarioRun(kind, entry.get("run_id"), capture, no_graph))
         except ValidationError as exc:  # the record's text does not say which entry
             raise ValidationError(f"manifest[{i}]: {exc}")
+    scenario.compare(runs, topology=topo)  # refuses a duplicate run
+    runs = [run.replace(graph=_build_from_capture(manifest_path.parent / run.capture_ref, topo,
+                                                  depgraph.GraphOptions(), args.verbose))
+            for run in runs]
 
     tol = scenario.DEFAULT_UNIFORMITY_TOL if args.uniformity_tol is None else args.uniformity_tol
     report = scenario.compare(runs, uniformity_tol=tol, topology=topo)
@@ -176,10 +175,10 @@ def cmd_compare(args) -> int:
         for flag, devices in report.unchecked.items():
             _diag(f"  {flag}: n/a, topology lacks {', '.join(devices)}")
     if args.format == "text":
-        payload = report.to_text().encode("utf-8")
+        text = report.to_text()
     else:
-        payload = (json.dumps(report.to_json_dict(), indent=2) + "\n").encode("utf-8")
-    _write_output(args.out, (payload,))
+        text = json.dumps(report.to_json_dict(), indent=2) + "\n"
+    _write_output(args.out, (text.encode("utf-8"),))
     return 0
 
 
@@ -281,10 +280,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except CyberDepError as exc:
-        print(f"cyberdep {args.command}: error: {exc}", file=sys.stderr)
+        _diag(f"cyberdep {args.command}: error: {exc}")
         return 1
     except OSError as exc:
-        print(f"cyberdep {args.command}: i/o error: {exc}", file=sys.stderr)
+        _diag(f"cyberdep {args.command}: i/o error: {exc}")
         return 1
 
 

@@ -133,8 +133,8 @@ class DgEdge(Record):
     """Directed dependency source -> sink with its probability weight.
 
     ``by_type`` is the security context: the per-message-type count breakdown
-    behind this edge. Its keys must be modeled function codes, and it is
-    normalized to carry all four. The hash ignores it; equality does not.
+    behind this edge. Its keys must be modeled function codes; it is stored
+    read-only, carrying all four. The hash ignores it; equality does not.
     """
 
     __slots__ = ("source", "sink", "probability", "count", "by_type")
@@ -181,7 +181,7 @@ class DgEdge(Record):
         store(self, "sink", sink)
         store(self, "probability", float(probability))
         store(self, "count", count)
-        store(self, "by_type", canonical)
+        store(self, "by_type", MappingProxyType(canonical))
 
     def __hash__(self):
         return hash((self.source, self.sink, self.probability, self.count))
@@ -352,7 +352,7 @@ class ConditionalQuery(Record):
     """Probability query for one target node given active-parent evidence.
 
     ``evidence`` maps parent node names to ``bool`` active flags; parents absent
-    from the map are treated as inactive. The query keeps its own copy of the map.
+    from the map are treated as inactive. The query keeps its own read-only copy.
     """
 
     __slots__ = ("target", "evidence")
@@ -365,7 +365,7 @@ class ConditionalQuery(Record):
             if type(flag) is not bool:
                 raise ValidationError(f"evidence for {name!r} must be a bool, got {flag!r}")
         store(self, "target", target)
-        store(self, "evidence", evidence)
+        store(self, "evidence", MappingProxyType(evidence))
 
 
 def query(graph: DependencyGraph, q: ConditionalQuery) -> float:

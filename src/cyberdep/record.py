@@ -8,6 +8,8 @@ read on the noisy-OR query path are slot classes rather than named tuples
 because a slot read is the cheaper of the two.
 """
 
+from types import MappingProxyType
+
 #: Sets a slot from ``__init__``, past ``Record.__setattr__``.
 store = object.__setattr__
 
@@ -42,7 +44,9 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):  # copy and pickle rebuild through __init__, so they validate too
-        return type(self), self._values()
+        # pickle refuses a read-only mapping view, so a view travels as a plain dict
+        return type(self), tuple(dict(v) if type(v) is MappingProxyType else v
+                                 for v in self._values())
 
     def replace(self, **changes):
         """A copy with ``changes`` applied, built and validated by ``__init__``."""

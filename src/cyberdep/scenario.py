@@ -68,15 +68,18 @@ def uniformity_check(graph: DependencyGraph, tol: float) -> bool:
     return max(abs(p - mean) for p in probs) <= tol
 
 
-#: The signature each scenario's traffic is expected to show: ranked tiers,
-#: highest first, each a synth weight boost and the devices it lifts. A run
-#: matches when its ranked edges, tier by tier, are exactly those devices ->
-#: the SCADA master. No tiers means the traffic must be uniform.
-SIGNATURES: dict[ScenarioKind, tuple[tuple[float, tuple[str, ...]], ...]] = {
-    ScenarioKind.BASELINE: (),
-    ScenarioKind.DOS_ONLY: ((5.0, ("load-5", "load-6")),),
-    ScenarioKind.NO_MITIGATION: ((4.0, ("gen-1", "load-5")),),
-    ScenarioKind.WITH_MITIGATION: ((5.0, ("load-5", "load-6")), (3.0, ("gen-1",))),
+#: Per scenario, the name of the flag that reports it and the signature its
+#: traffic is expected to show: ranked tiers, highest first, each a synth
+#: weight boost and the devices it lifts. A run matches when its ranked edges,
+#: tier by tier, are exactly those devices -> the SCADA master. No tiers means
+#: every edge probability must be within the tolerance of the mean.
+SIGNATURES: dict[ScenarioKind, tuple[str, tuple[tuple[float, tuple[str, ...]], ...]]] = {
+    ScenarioKind.BASELINE: ("baseline_uniform", ()),
+    ScenarioKind.DOS_ONLY: ("dos_top2", ((5.0, ("load-5", "load-6")),)),
+    ScenarioKind.NO_MITIGATION: ("no_mitigation_top2", ((4.0, ("gen-1", "load-5")),)),
+    ScenarioKind.WITH_MITIGATION: (
+        "mitigation_pattern", ((5.0, ("load-5", "load-6")), (3.0, ("gen-1",)))
+    ),
 }
 
 #: Default tolerance for calling sampled baseline traffic "uniform".
@@ -88,28 +91,14 @@ def is_tolerance(value: float) -> bool:
     return 0 <= value <= sys.float_info.max
 
 
-class ScenarioFlags(NamedTuple):
-    """One flag per scenario, in ``ScenarioKind`` order: does every run of it
-    show that scenario's ``SIGNATURES`` entry?
-
-    baseline_uniform is the check of the empty signature: every edge
-    probability within the tolerance of the mean. The other three check the
-    ranked tiers. A flag is None when no run of its scenario is present, or
-    when its signature names a device the topology lacks.
-    """
-
-    baseline_uniform: bool | None = None
-    dos_top2: bool | None = None
-    no_mitigation_top2: bool | None = None
-    mitigation_pattern: bool | None = None
-
-
 class ComparisonReport(NamedTuple):
     runs: tuple[ScenarioRun, ...]
     reference: tuple[ScenarioKind, int]
     rankings: dict  # run key -> list[DgEdge]
     deltas: dict  # run key -> {(source, sink): delta vs reference}; the reference has none
-    flags: ScenarioFlags
+    #: flag name -> do all runs of its scenario match? In ``SIGNATURES`` order;
+    #: None when the scenario has no run or the topology lacks a signature device.
+    flags: dict
     #: flag name -> signature devices the topology lacks, for flags left None.
     unchecked: dict
 
@@ -140,7 +129,7 @@ class ComparisonReport(NamedTuple):
                 }
                 for (kind, run_id), deltas in self.deltas.items()
             ],
-            "flags": self.flags._asdict(),
+            "flags": dict(self.flags),
         }
 
     def to_text(self) -> str:
@@ -161,7 +150,7 @@ class ComparisonReport(NamedTuple):
                     lines.append(f"    {src} -> {sink}  {delta:+.4f}")
         rendered = ", ".join(
             f"{name}={'n/a' if value is None else str(value).lower()}"
-            for name, value in self.flags._asdict().items()
+            for name, value in self.flags.items()
         )
         lines.append(f"flags: {rendered}")
         return "\n".join(lines) + "\n"
@@ -219,10 +208,10 @@ def compare(
     topology = topology or default_topology()
     master = topology.scada_master.name
     flags, unchecked = {}, {}
-    for kind, flag in zip(ScenarioKind, ScenarioFlags._fields):
+    for kind, (flag, tiers) in SIGNATURES.items():
         kind_runs = [run for run in ordered if run.scenario is kind]
-        tiers = SIGNATURES[kind]
         missing = sorted({d for _, ds in tiers for d in ds if topology.device(d) is None})
+        flags[flag] = None
         if kind_runs and missing:
             unchecked[flag] = tuple(missing)
         elif kind_runs:
@@ -237,6 +226,6 @@ def compare(
         reference=reference.key,
         rankings=rankings,
         deltas=deltas,
-        flags=ScenarioFlags(**flags),
+        flags=flags,
         unchecked=unchecked,
     )

@@ -21,6 +21,7 @@ import math
 import random
 from bisect import bisect_right
 from collections.abc import Mapping
+from types import MappingProxyType
 from typing import BinaryIO
 
 from .errors import FormatError, ValidationError
@@ -49,8 +50,8 @@ class TrafficProfile(Record):
     """Generative description of one scenario's traffic shape.
 
     ``weights`` maps device names to nonnegative rate weights; ``message_mix``
-    defaults to ``DEFAULT_MESSAGE_MIX``. Both are stored as copies with float
-    values, so integer and float weights draw the same traffic.
+    defaults to ``DEFAULT_MESSAGE_MIX``. Both are stored as read-only copies
+    with float values, so integer and float weights draw the same traffic.
     """
 
     __slots__ = ("scenario", "weights", "message_mix", "n_messages", "seed", "noise_fraction")
@@ -100,8 +101,8 @@ class TrafficProfile(Record):
         if not 0.0 <= noise_fraction < 1.0:
             raise ValidationError("noise_fraction must be in [0, 1)")
         store(self, "scenario", scenario)
-        store(self, "weights", {name: float(w) for name, w in weights.items()})
-        store(self, "message_mix", {mt: float(v) for mt, v in message_mix.items()})
+        store(self, "weights", MappingProxyType({name: float(w) for name, w in weights.items()}))
+        store(self, "message_mix", MappingProxyType({k: float(v) for k, v in message_mix.items()}))
         store(self, "n_messages", n_messages)
         store(self, "seed", seed)
         store(self, "noise_fraction", noise_fraction)
@@ -168,10 +169,10 @@ def generate(profile: TrafficProfile, topology: Topology) -> bytes:
 # name -> (scenario, ranked (weight boost, devices) tiers). Every field device
 # carries weight 1.0 and a tier's devices get its boost: the boosts encode
 # the scenario rankings of ``SIGNATURES``, deliberately not magnitudes.
-_PROFILES = {kind.value: (kind, SIGNATURES[kind]) for kind in ScenarioKind}
+_PROFILES = {kind.value: (kind, tiers) for kind, (_, tiers) in SIGNATURES.items()}
 # The divergent control: the DOS signature's devices damped instead of boosted.
 _PROFILES["dos_run3_variant"] = (
-    ScenarioKind.DOS_ONLY, tuple((0.2, ds) for _, ds in SIGNATURES[ScenarioKind.DOS_ONLY])
+    ScenarioKind.DOS_ONLY, tuple((0.2, ds) for _, ds in SIGNATURES[ScenarioKind.DOS_ONLY][1])
 )
 
 BUILTIN_PROFILES = tuple(_PROFILES)

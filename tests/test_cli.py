@@ -491,6 +491,20 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.endswith(f"cyberdep compare: error: manifest[1]: {message}\n")
 
+    @pytest.mark.parametrize("second, message", [
+        ({"run_id": "2"}, "manifest[1]: run_id must be an integer, got '2'"),
+        ({}, "duplicate run: baseline run 1"),
+        ({"run_id": 2, "capture": "gone.jsonl"}, "input file not found: {dir}/gone.jsonl"),
+    ], ids=["run_id", "duplicate", "missing-capture"])
+    def test_bad_second_entry_refused_before_any_build(self, tmp_path, capsys, second, message):
+        manifest = self.make_manifest(tmp_path, [("b1.jsonl", 1, "baseline")])
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps(doc + [{**doc[0], **second}]))
+        capsys.readouterr()
+        assert main(["compare", "--in", str(manifest)]) == 1
+        message = message.format(dir=tmp_path)
+        assert capsys.readouterr().err == f"cyberdep compare: error: {message}\n"  # no build line
+
     @pytest.mark.parametrize("entry, message", [
         ({"scenario": "baseline", "run_id": 1, "capture": 5},
          "manifest[0]: 'capture' must be a path string"),

@@ -22,12 +22,7 @@ from cyberdep.ingest import (
     RejectedLine,
 )
 from cyberdep.record import Record
-from cyberdep.scenario import (
-    ComparisonReport,
-    ScenarioFlags,
-    ScenarioKind,
-    ScenarioRun,
-)
+from cyberdep.scenario import ComparisonReport, ScenarioKind, ScenarioRun
 from cyberdep.synth import TrafficProfile
 from cyberdep.topology import Device, DeviceRole, Topology, UnmappedReport
 
@@ -60,9 +55,8 @@ RECORDS = [
     (lambda: Topology((Device("s", DeviceRole.SCADA_MASTER, frozenset({"10.0.0.1"})),)), True),
     (lambda: UnmappedReport(1, {"10.0.0.9": 1}), False),
     (lambda: ScenarioRun(ScenarioKind.BASELINE, 1, "cap.jsonl", graph()), True),
-    (lambda: ScenarioFlags(True, None, False, None), True),
-    (lambda: ComparisonReport((), (ScenarioKind.BASELINE, 1), {}, {}, ScenarioFlags(), {}),
-     False),
+    (lambda: ComparisonReport((), (ScenarioKind.BASELINE, 1), {}, {},
+                              {"baseline_uniform": True, "dos_top2": None}, {}), False),
     (lambda: TrafficProfile(ScenarioKind.BASELINE, {"a": 1.0}, n_messages=5), False),
 ]
 
@@ -90,3 +84,28 @@ def test_replace_validates():
         profile.replace(n_messages=-1)
     with pytest.raises(ValidationError, match=r"^self-edge not allowed: 'a'$"):
         DgEdge("a", "s", 0.5).replace(sink="a")
+
+
+# Each case names a mapping a validated record holds, and a write through it.
+MAPPING_WRITES = [
+    ("DgEdge.by_type", lambda: graph().edges[0].by_type, READ, "x"),
+    ("ConditionalQuery.evidence", lambda: ConditionalQuery("s", {"a": False}).evidence,
+     "a", "no"),
+    ("TrafficProfile.weights", lambda: TrafficProfile(ScenarioKind.BASELINE, {"a": 1.0}).weights,
+     "a", -1.0),
+    ("TrafficProfile.message_mix",
+     lambda: TrafficProfile(ScenarioKind.BASELINE, {"a": 1.0}).message_mix, READ, 2.0),
+]
+
+
+@pytest.mark.parametrize("field, mapping, key, value", MAPPING_WRITES,
+                         ids=[case[0] for case in MAPPING_WRITES])
+def test_record_mappings_are_read_only(field, mapping, key, value):
+    held = mapping()
+    before = dict(held)
+    with pytest.raises(TypeError):
+        held[key] = value
+    with pytest.raises(TypeError):
+        del held[key]
+    assert not hasattr(held, "clear") and not hasattr(held, "update")
+    assert held == before

@@ -132,18 +132,14 @@ class TestCompare:
         assert a.to_json_dict() == b.to_json_dict()
 
     def test_signature_flags_on_textbook_runs(self):
-        flags = compare(self.all_runs()).flags
-        assert flags.baseline_uniform is True
-        assert flags.dos_top2 is True
-        assert flags.no_mitigation_top2 is True
-        assert flags.mitigation_pattern is True
+        assert compare(self.all_runs()).flags == {"baseline_uniform": True, "dos_top2": True,
+                                                  "no_mitigation_top2": True,
+                                                  "mitigation_pattern": True}
 
     def test_absent_scenarios_flag_none(self):
         flags = compare([run(ScenarioKind.BASELINE, 1, BASE)]).flags
-        assert flags.baseline_uniform is True
-        assert flags.dos_top2 is None
-        assert flags.no_mitigation_top2 is None
-        assert flags.mitigation_pattern is None
+        assert flags == {"baseline_uniform": True, "dos_top2": None,
+                         "no_mitigation_top2": None, "mitigation_pattern": None}
 
     def test_identical_baseline_runs_have_zero_deltas(self):
         report = compare([
@@ -189,20 +185,20 @@ class TestCompare:
     @pytest.mark.parametrize("tol", [0.0, 1e308])
     def test_uniformity_tol_bounds_accepted(self, tol):
         flags = compare([run(ScenarioKind.BASELINE, 1, BASE)], uniformity_tol=tol).flags
-        assert flags.baseline_uniform is (tol > 0)
+        assert flags["baseline_uniform"] is (tol > 0)
 
     def test_mitigation_needs_gen1_third(self):
         # loads on top but gen-1 pushed to 4th place: pattern must fail
         shuffled = dict(MIT, **{"gen-1": 0.07, "load-8": 0.21})
         flags = compare([run(ScenarioKind.WITH_MITIGATION, 1, shuffled)]).flags
-        assert flags.mitigation_pattern is False
+        assert flags["mitigation_pattern"] is False
 
     def test_one_bad_run_fails_scenario_flag(self):
         flags = compare([
             run(ScenarioKind.DOS_ONLY, 1, DOS),
             run(ScenarioKind.DOS_ONLY, 2, BASE),  # no spike here
         ]).flags
-        assert flags.dos_top2 is False
+        assert flags["dos_top2"] is False
 
 
 class TestReportOutput:
@@ -247,15 +243,27 @@ def synth_run(name, kind, run_id, topo, n_messages=10_000):
 
 
 class TestSignatureTable:
+    def test_one_named_flag_per_scenario_in_table_order(self):
+        assert list(SIGNATURES) == list(ScenarioKind)
+        names = [flag for flag, _ in SIGNATURES.values()]
+        assert len(set(names)) == len(names)
+        report = compare([run(ScenarioKind.BASELINE, 1, BASE)])
+        doc = report.to_json_dict()
+        assert list(doc["flags"]) == names
+        doc["flags"]["dos_top2"] = True  # the document holds a copy
+        assert report.flags["dos_top2"] is None
+        flags_line = report.to_text().splitlines()[-1].removeprefix("flags: ")
+        assert [item.split("=")[0] for item in flags_line.split(", ")] == names
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_builtin_profiles_show_their_signature(self, wscc, seed):
         runs = [synth_run(kind.value, kind, seed, wscc) for kind in ScenarioKind]
         report = compare(runs, topology=wscc)
-        assert all(report.flags._asdict().values()), report.flags
+        assert all(report.flags.values()), report.flags
         assert report.unchecked == {}
 
         variant = synth_run("dos_run3_variant", ScenarioKind.DOS_ONLY, seed, wscc)
-        assert compare([variant], topology=wscc).flags.dos_top2 is False
+        assert compare([variant], topology=wscc).flags["dos_top2"] is False
 
     def test_tiers_rank_into_the_topology_master(self):
         sink = "master"
@@ -266,17 +274,17 @@ class TestSignatureTable:
             ScenarioRun(ScenarioKind.WITH_MITIGATION, 1, "m", star_graph(MIT, sink)),
         ]
         flags = compare(runs, topology=topo).flags
-        assert [getattr(flags, name) for name in RANKING_FLAGS] == [True] * 3
+        assert [flags[name] for name in RANKING_FLAGS] == [True] * 3
         # the bundled master's name is no longer the sink
-        assert compare(runs).flags.dos_top2 is False
+        assert compare(runs).flags["dos_top2"] is False
 
     def test_missing_signature_device_flags_none(self):
         renames = {"load-5": "bus-5", "load-6": "bus-6"}
         dos = {renames.get(name, name): p for name, p in DOS.items()}
         runs = [run(ScenarioKind.DOS_ONLY, 1, dos), run(ScenarioKind.BASELINE, 1, BASE)]
         report = compare(runs, topology=renamed_topology(renames))
-        assert report.flags.dos_top2 is None
-        assert report.flags.baseline_uniform is True
+        assert report.flags["dos_top2"] is None
+        assert report.flags["baseline_uniform"] is True
         assert report.unchecked == {"dos_top2": ("load-5", "load-6")}
         assert "unchecked" not in report.to_json_dict()
 
@@ -358,6 +366,6 @@ def signature_device_names(path: Path) -> tuple[list[str], int]:
 def test_signature_devices_named_only_in_the_table():
     package = Path(cyberdep.__file__).parent
     found = {path.name: signature_device_names(path) for path in package.glob("*.py")}
-    assert found["scenario.py"][1] == sum(len(ds) for tiers in SIGNATURES.values()
+    assert found["scenario.py"][1] == sum(len(ds) for _, tiers in SIGNATURES.values()
                                           for _, ds in tiers), "the walker must see the table"
     assert [hit for outside, _ in found.values() for hit in outside] == []
