@@ -202,41 +202,47 @@ _MAX_BODIES = 1024  # most bodies of a wide capture are singletons: memoizing th
 _SHOWN_REJECTIONS = 20
 
 
+def _first_sight(body: bytes, bodies: dict, addrs: dict, canonical=_CANONICAL_BODY.fullmatch):
+    """A canonical ``body``'s key if it passes the strict path's rules, else None.
+
+    A passing body joins ``bodies`` below ``_MAX_BODIES``; ``addrs`` holds passed addresses.
+    """
+    if (m := canonical(body)) is None:
+        return None
+    s, d, proto, fn = m.groups(b"")
+    src, dst = addrs.get(s), addrs.get(d)
+    try:
+        if src is None or dst is None or src == dst:  # a pair the rule has not passed
+            _check_endpoints(src := s.decode(), dst := d.decode())
+            addrs[s], addrs[d] = src, dst
+        key = (src, dst, _message_type(proto.decode(), fn.decode()))
+    except ValueError:
+        return None  # the strict path gives the reason
+    if len(bodies) < _MAX_BODIES:
+        bodies[body] = key
+    return key
+
+
 def count_packet_log(
     lines: Iterable[bytes],
 ) -> tuple[dict[tuple[str, str, Dnp3MessageType], int], int, tuple[RejectedLine, ...]]:
     """Count the valid lines by ``(src, dst, message_type)``, as ``parse_packet_log`` judges them.
 
     Returns the counts, the number of rejected lines and the first
-    ``_SHOWN_REJECTIONS`` rejections. A canonical body seen first is judged by the
-    strict path's address and message-type rules, without a JSON decode, and the
-    first ``_MAX_BODIES`` that pass are memoized. Every other line takes the strict path.
+    ``_SHOWN_REJECTIONS`` rejections. A canonical line is counted through the body
+    memo, or judged by ``_first_sight`` on a miss; every other line takes the strict path.
     """
     counts: dict[tuple[str, str, Dnp3MessageType], int] = {}
     bodies: dict[bytes, tuple[str, str, Dnp3MessageType]] = {}
-    addrs: dict[bytes, str] = {}  # addresses the rule has passed, shared by the keys
+    addrs: dict[bytes, str] = {}
     valid: set[str] = set()
     rejections: list[RejectedLine] = []
     rejected = 0
-    prefix, canonical = _CANONICAL_PREFIX.match, _CANONICAL_BODY.fullmatch
+    prefix, first_sight = _CANONICAL_PREFIX.match, _first_sight
     for line_no, raw in enumerate(lines, start=1):
-        p = prefix(raw)
-        if p is not None:
+        if (p := prefix(raw)) is not None:
             body = raw[p.end():]
-            key = bodies.get(body)
-            if key is None and (m := canonical(body)) is not None:
-                s, d, proto, fn = m.groups(b"")
-                src, dst = addrs.get(s), addrs.get(d)
-                try:
-                    if src is None or dst is None or src == dst:  # a pair the rule has not passed
-                        _check_endpoints(src := s.decode(), dst := d.decode())
-                        addrs[s], addrs[d] = src, dst
-                    key = (src, dst, _message_type(proto.decode(), fn.decode()))
-                except ValueError:
-                    pass  # the strict path gives the reason
-                if key is not None and len(bodies) < _MAX_BODIES:
-                    bodies[body] = key
-            if key is not None:
+            if (key := bodies.get(body) or first_sight(body, bodies, addrs)) is not None:
                 counts[key] = counts.get(key, 0) + 1
                 continue
         item = _judge_line(raw, valid)
@@ -255,18 +261,24 @@ def count_packet_log(
 def parse_packet_log(stream: BinaryIO | bytes, source_label: str = "") -> CaptureWindow:
     """Parse a JSON Lines byte stream into a CaptureWindow.
 
-    Malformed lines never abort the stream: each is recorded in the
-    rejection report with its 1-based line number. Records are ordered by
-    ts_us, ties in input order, so downstream output is deterministic even
-    when the input is not time-sorted.
+    Lines are judged as ``count_packet_log`` judges them. Malformed lines never
+    abort the stream: each is recorded in the rejection report with its 1-based
+    line number. Records are ordered by ts_us, ties in input order, so downstream
+    output is deterministic even when the input is not time-sorted.
     """
     if isinstance(stream, bytes):
         stream = io.BytesIO(stream)
 
     records: list[PacketRecord] = []
     rejections: list[RejectedLine] = []
-    valid: set[str] = set()
+    bodies, addrs, valid = {}, {}, set()  # count_packet_log's memos
+    prefix, first_sight = _CANONICAL_PREFIX.match, _first_sight
     for line_no, raw in enumerate(stream, start=1):
+        if (p := prefix(raw)) is not None:
+            body = raw[p.end():]
+            if (key := bodies.get(body) or first_sight(body, bodies, addrs)) is not None:
+                records.append(PacketRecord(int(raw[9:p.end() - 1]), *key))  # <= 18 digits
+                continue
         item = _judge_line(raw, valid)
         if isinstance(item, str):
             rejections.append(RejectedLine(line_no, item))

@@ -1,9 +1,10 @@
-"""The canonical-line fast path of ``ingest.count_packet_log`` against the strict scanner.
+"""The canonical-line fast path of both ingest stages against the strict scanner.
 
 ``strict_scan`` below is the per-line scanner as it stood before the fast path,
 kept here as the oracle: every line is decoded and judged on its own. The fast
-path must give the same counts, rejected total, shown rejections and line
-numbers on any mix of canonical lines and their near misses.
+path of ``count_packet_log`` and ``parse_packet_log`` must give the same counts,
+windows, rejected total, shown rejections and line numbers on any mix of
+canonical lines and their near misses.
 """
 
 import io
@@ -11,6 +12,7 @@ import json
 import re
 from collections import Counter
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cyberdep import ingest
@@ -196,6 +198,21 @@ ALL_OPTIONS = [
        MUTATIONS["bom"](canonical(4, "10.9.0.1", "10.9.1.1", "dnp3", "read"))] * 8,
     final_newline=False,
 )
+@example(  # ts_us read from the prefix: the smallest, then the longest (18 digits)
+    lines=[canonical(1, "10.9.1.1", "10.9.0.1", "dnp3", "response"),
+           canonical(0, "10.9.0.1", "10.9.1.1", "dnp3", "read")],
+    final_newline=True,
+)
+@example(
+    lines=[canonical(10**18 - 1, "10.9.0.1", "10.9.1.1", "dnp3", "read"),
+           canonical(1, "10.9.1.1", "10.9.0.1", "dnp3", "response")],
+    final_newline=True,
+)
+@example(  # 19 digits: off the prefix, so the strict path reads ts_us
+    lines=[canonical(10**18, "10.9.0.1", "10.9.1.1", "dnp3", "read"),
+           canonical(1, "10.9.1.1", "10.9.0.1", "dnp3", "response")],
+    final_newline=True,
+)
 def test_count_packet_log_equals_strict_scan(lines, final_newline):
     """Equal counts, rejected totals, first rejections with line numbers, builds and windows."""
     data = b"\n".join(lines) + (b"\n" if final_newline else b"")
@@ -226,7 +243,17 @@ def _body(line: bytes) -> bytes:
     return line.split(b",", 1)[1]
 
 
-def test_fast_path_fires(wscc, monkeypatch):
+#: Each stage that takes the fast path, over a list of byte lines, with its strict oracle.
+JUDGES = {
+    "count": (count_packet_log, strict_count),
+    "parse": (lambda lines: parse_packet_log(b"".join(lines)),
+              lambda lines: strict_window(b"".join(lines))),
+}
+judges = pytest.mark.parametrize("judge, strict", JUDGES.values(), ids=JUDGES)
+
+
+@judges
+def test_fast_path_fires(wscc, monkeypatch, judge, strict):
     """On a clean synth capture no line takes the strict path, and each body is judged once."""
     profile = builtin_profile("dos_only", wscc, n_messages=2000, seed=5, noise_fraction=0.1)
     lines = generate(profile, wscc).splitlines(keepends=True)
@@ -234,15 +261,16 @@ def test_fast_path_fires(wscc, monkeypatch):
     bodies = {_body(line) for line in lines}
 
     calls = _count_calls(monkeypatch, "_judge_line", "_check_endpoints", "_message_type")
-    result = count_packet_log(lines)
+    result = judge(lines)
     assert calls["_judge_line"] == 0
     assert 0 < calls["_check_endpoints"] <= calls["_message_type"] == len(bodies) < len(lines) // 20
     monkeypatch.undo()
-    assert result == strict_count(lines)
+    assert result == strict(lines)
 
 
-def test_body_memo_bound(monkeypatch):
-    """Past ``_MAX_BODIES`` distinct bodies the counts still equal the strict scan's.
+@judges
+def test_body_memo_bound(monkeypatch, judge, strict):
+    """Past ``_MAX_BODIES`` distinct bodies the results still equal the strict scan's.
 
     The memo takes no body past the bound, so each later body is judged again on
     each sight.
@@ -253,13 +281,13 @@ def test_body_memo_bound(monkeypatch):
     names = sorted(MUTATIONS)
     mixed = [MUTATIONS[names[i // 37 % len(names)]](line) if i % 37 == 0 else line
              for i, line in enumerate(lines)]
-    assert count_packet_log(mixed) == strict_count(mixed)
+    assert judge(mixed) == strict(mixed)
 
     bodies = list(dict.fromkeys(_body(line) for line in lines))
     assert len(bodies) > ingest._MAX_BODIES
     twice = [b'{"ts_us":%d,' % ts + body for ts, body in enumerate(bodies + bodies)]
     calls = _count_calls(monkeypatch, "_judge_line", "_message_type")
-    result = count_packet_log(twice)
+    result = judge(twice)
     assert calls == {"_message_type": 2 * len(bodies) - ingest._MAX_BODIES}
     monkeypatch.undo()
-    assert result == strict_count(twice)
+    assert result == strict(twice)
