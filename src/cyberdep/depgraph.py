@@ -69,18 +69,19 @@ class FlowCounts(NamedTuple):
 def count_flows(
     mapped: Iterable[tuple[str, str, Dnp3MessageType]], window_label: str = ""
 ) -> FlowCounts:
-    """Aggregate map_window's (src name, dst name, message type) triples by pair and type.
+    """Aggregate (src name, dst name, message type) triples by pair and type.
 
-    A triple inside one device is no dependency: it is only counted, in ``dropped``.
+    ``mapped`` is map_window's triples, one per record, or a mapping of triples to
+    record counts. A triple inside one device is no dependency: it only adds to ``dropped``.
     """
     entries: dict[tuple[str, str], dict[Dnp3MessageType, int]] = {}
     dropped = 0
-    for src, dst, message_type in mapped:
+    counted = mapped if isinstance(mapped, Mapping) else Counter(mapped)  # copying raises peak RSS
+    for (src, dst, message_type), n in counted.items():
         if src == dst:
-            dropped += 1
+            dropped += n
             continue
-        by_type = entries.setdefault((src, dst), {})
-        by_type[message_type] = by_type.get(message_type, 0) + 1
+        entries.setdefault((src, dst), {})[message_type] = n  # each triple is seen once
     return FlowCounts(entries, window_label, dropped)
 
 
@@ -413,13 +414,13 @@ def build_graph(
     Makes no record objects (a binary file iterates as lines), and filters and
     resolves each (src_addr, dst_addr, message type) key once: its n records add
     n to the unmapped records and n per unknown endpoint to ``by_addr``, or n to
-    ``scada_dropped`` when both endpoints are one device. Deterministic.
+    its device triple, which ``count_flows`` then tallies. Deterministic.
     """
     counts, rejected, rejections = count_packet_log(lines)
     parsed = sum(counts.values())
-    flows = FlowCounts({})  # no other name holds its entries, freed when the collapse replaces it
+    named: Counter = Counter()
     unknown: Counter = Counter()
-    filtered_out, unmapped, dropped = 0, 0, 0
+    filtered_out, unmapped = 0, 0
     for (src_addr, dst_addr, message_type), n in counts.items():
         if message_type not in DNP3_SYSCALLS:
             filtered_out += n
@@ -431,14 +432,11 @@ def build_graph(
                 if device is None:
                     unknown[addr] += n
             continue
-        if src is dst:  # traffic inside one device is no dependency
-            dropped += n
-            continue
-        by_type = flows.entries.setdefault((src.name, dst.name), {})
-        by_type[message_type] = by_type.get(message_type, 0) + n
+        named[src.name, dst.name, message_type] += n
     del counts  # freed before the graph is built, which can reuse its memory
 
-    flows = flows._replace(dropped=dropped)
+    flows = count_flows(named)
+    del named  # also freed before the graph is built
     if options.scada_collapse:
         flows, _ = collapse_to_scada(flows, topology)
     graph = edge_probabilities(flows, options.normalization, topology.roles())

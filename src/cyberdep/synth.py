@@ -124,6 +124,8 @@ def generate(profile: TrafficProfile, topology: Topology) -> bytes:
     Every weighted device must exist in the topology; the SCADA master is the
     peer of all generated DNP3 traffic and cannot itself carry a weight.
     """
+    if not topology.scada_master.addrs:
+        raise ValidationError(f"the SCADA master {topology.scada_master.name!r} has no address")
     scada_addr = min(topology.scada_master.addrs)
 
     device_addr = {}

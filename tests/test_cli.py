@@ -376,6 +376,17 @@ class TestSynth:
         assert capsys.readouterr().err == f"cyberdep synth: error: {message}\n"
         assert not out.exists()
 
+    def test_addressless_scada_master_exits_1(self, tmp_path, capsys):
+        topo = tmp_path / "t.json"
+        topo.write_text(json.dumps({"devices": [
+            {"name": "scada", "role": "scada", "addrs": []},
+            {"name": "load-5", "role": "field", "addrs": ["10.0.1.20"]},
+        ]}))
+        assert main(["synth", "--profile", "baseline", "--topo", str(topo), "--n", "5"]) == 1
+        assert capsys.readouterr().err == (
+            "cyberdep synth: error: the SCADA master 'scada' has no address\n"
+        )
+
     def test_unknown_profile_exits_1(self, capsys):
         assert main(["synth", "--profile", "nonesuch"]) == 1
         assert "neither a built-in" in capsys.readouterr().err

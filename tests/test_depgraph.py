@@ -12,10 +12,13 @@ import json
 import math
 import re
 import tracemalloc
+from collections import Counter
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cyberdep import depgraph
 from cyberdep.depgraph import (
     PROBABILITY_SUM_TOL,
     ConditionalQuery,
@@ -34,7 +37,9 @@ from cyberdep.depgraph import (
     query,
 )
 from cyberdep.errors import QueryError, ValidationError
-from cyberdep.ingest import Dnp3MessageType, filter_dnp3, is_integer, parse_packet_log
+from cyberdep.ingest import (
+    DNP3_SYSCALLS, Dnp3MessageType, filter_dnp3, is_integer, parse_packet_log,
+)
 from cyberdep.synth import builtin_profile, generate
 from cyberdep.topology import Device, DeviceRole, Topology, map_window
 from conftest import (
@@ -170,6 +175,23 @@ class TestCountFlows:
 
     def test_empty(self):
         assert count_flows([]).grand_total == 0
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(st.sampled_from(["scada", "dev-01", "dev-02"]),
+                              st.sampled_from(["scada", "dev-01", "dev-02"]),
+                              st.sampled_from(DNP3_SYSCALLS)), max_size=40))
+    @example([mm("scada", "dev-01")] * 3 + [mm("dev-01", "dev-01")] * 2
+             + [mm("scada", "dev-01", DO)])
+    def test_mapping_counts_equal_per_record_counts(self, triples):
+        """A mapping of triples to record counts tallies as its records would, one by one:
+        repeats and traffic inside one device included."""
+        expected = count_flows(triples, "w")
+        for mapped in (Counter(triples), dict(Counter(triples))):
+            got = count_flows(mapped, "w")
+            assert got.entries == expected.entries
+            assert got.dropped == expected.dropped
+            assert got.grand_total == expected.grand_total == len(triples) - expected.dropped
+            assert got == expected
 
 
 class TestCollapseToScada:
@@ -751,6 +773,29 @@ class TestBuildGraph:
             assert result.graph.grand_total == 4
             assert result.scada_dropped == 3  # mapped 7 = grand_total 4 + dropped 3
             assert result.unmapped.records == 0
+
+    @pytest.mark.parametrize("collapse", [True, False])
+    def test_one_flow_tally(self, monkeypatch, collapse):
+        """``build_graph`` tallies its resolved device triples through ``count_flows``,
+        once per build, as a mapping that holds every mapped record."""
+        calls = []
+
+        def counted(mapped, *args, _f=depgraph.count_flows):
+            calls.append(mapped)
+            return _f(mapped, *args)
+
+        monkeypatch.setattr(depgraph, "count_flows", counted)
+        rows = [*INTRA_DEVICE_ROWS,
+                {"ts_us": 7, "src": "10.9.0.1", "dst": "10.9.2.1", "proto": "dnp3",
+                 "dnp3_fn": "read"},
+                {"ts_us": 8, "src": "10.9.0.1", "dst": "10.9.1.1", "proto": "modbus"}]
+        result = build_graph(io.BytesIO(jsonl_bytes(rows)), intra_device_topology(),
+                             GraphOptions(collapse))
+        stats = result.stats
+        assert (stats.parsed, stats.filtered_out, result.unmapped.records) == (9, 1, 1)
+        assert len(calls) == 1
+        assert isinstance(calls[0], Mapping)
+        assert sum(calls[0].values()) == stats.parsed - stats.filtered_out - result.unmapped.records
 
     @pytest.mark.parametrize("collapse", [True, False])
     def test_stage_chain_drops_intra_device_traffic(self, collapse):

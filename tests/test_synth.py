@@ -193,6 +193,13 @@ class TestGenerate:
             generate(profile(topo, weights=weights), topo)
         assert str(exc.value) == message
 
+    def test_scada_master_needs_an_address(self):
+        topo = Topology((Device("scada", DeviceRole.SCADA_MASTER, frozenset()),
+                         Device("load-5", DeviceRole.FIELD_DEVICE, frozenset({"10.0.1.20"}))))
+        with pytest.raises(ValidationError) as exc:
+            generate(profile(topo, weights={"load-5": 1.0}), topo)
+        assert str(exc.value) == "the SCADA master 'scada' has no address"
+
     def test_noise_interleaved_and_filterable(self, topo):
         p = profile(topo, n_messages=1000, noise_fraction=0.1)
         window = parse_packet_log(generate(p, topo))
