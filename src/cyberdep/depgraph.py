@@ -244,14 +244,14 @@ class DependencyGraph(Record):
         store(self, "normalization", normalization)
         store(self, "grand_total", grand_total)
         store(self, "_names", names)
-        store(self, "_in_edges", in_edges)
+        store(self, "_in_edges", {sink: tuple(group) for sink, group in in_edges.items()})
 
     def has_node(self, name: str) -> bool:
         return name in self._names
 
     def parents_of(self, name: str) -> tuple[DgEdge, ...]:
-        """In-edges of a node, sorted by source name."""
-        return tuple(self._in_edges.get(name, ()))
+        """In-edges of a node, sorted by source name: the stored tuple, not a copy."""
+        return self._in_edges.get(name, ())
 
 
 def _check_normalized(edges: tuple[DgEdge, ...], in_edges: dict[str, list[DgEdge]],
@@ -335,17 +335,17 @@ def noisy_or(parent_probs: Sequence[float], active: Sequence[int | bool]) -> flo
     Raises ValueError on length mismatch or a probability outside [0, 1].
     """
     if len(parent_probs) != len(active):
-        raise ValueError(
-            f"length mismatch: {len(parent_probs)} probabilities, {len(active)} flags"
-        )
+        raise ValueError(f"length mismatch: {len(parent_probs)} probabilities, {len(active)} flags")
     for p in parent_probs:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probability outside [0, 1]: {p!r}")
-    live = [p for p, a in zip(parent_probs, active) if a]
+    return _noisy_or([p for p, a in zip(parent_probs, active) if a])
+
+
+def _noisy_or(live: list[float]) -> float:
     if 1.0 in live:
         return 1.0
-    # Summing log(1 - p) avoids the cancellation in 1 - prod(1 - p) at small p;
-    # subtracting from 0.0 keeps the empty product at +0.0 rather than -0.0.
+    # log1p sums avoid 1 - prod(1 - p)'s cancellation at small p; 0.0 - x gives +0.0, not -0.0
     return 0.0 - math.expm1(math.fsum(math.log1p(-p) for p in live))
 
 
@@ -370,17 +370,21 @@ class ConditionalQuery(Record):
 
 
 def query(graph: DependencyGraph, q: ConditionalQuery) -> float:
-    """Evaluate a noisy-OR conditional probability over the target's in-edges."""
+    """``noisy_or`` of the target's in-edges: one pass over them and one over the evidence.
+
+    Raises QueryError for an unknown target, then for the first evidence name, in evidence
+    order, that is no parent, even with a False flag. No evidence gives 0.0. Copies nothing.
+    """
     if not graph.has_node(q.target):
         raise QueryError(f"unknown target node: {q.target!r}")
-    parents = graph.parents_of(q.target)
-    parent_names = {e.source for e in parents}
-    for name in q.evidence:
-        if name not in parent_names:
-            raise QueryError(f"{name!r} is not a parent of {q.target!r}")
-    probs = [e.probability for e in parents]
-    flags = [q.evidence.get(e.source, False) for e in parents]
-    return noisy_or(probs, flags)
+    if not q.evidence:
+        return 0.0
+    probs = {e.source: e.probability for e in graph.parents_of(q.target)}
+    try:
+        live = [p for name, flag in q.evidence.items() for p in (probs[name],) if flag]
+    except KeyError as missing:
+        raise QueryError(f"{missing.args[0]!r} is not a parent of {q.target!r}") from None
+    return _noisy_or(live)
 
 
 # ---------------------------------------------------------------------------

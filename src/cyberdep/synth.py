@@ -122,7 +122,8 @@ def generate(profile: TrafficProfile, topology: Topology) -> bytes:
     """Emit the profile as a JSON Lines byte stream.
 
     Every weighted device must exist in the topology; the SCADA master is the
-    peer of all generated DNP3 traffic and cannot itself carry a weight.
+    peer of all generated DNP3 traffic and cannot itself carry a weight. With
+    noise, no weighted device may be drawn at ``NOISE_SOURCE_ADDR``.
     """
     if not topology.scada_master.addrs:
         raise ValidationError(f"the SCADA master {topology.scada_master.name!r} has no address")
@@ -137,7 +138,9 @@ def generate(profile: TrafficProfile, topology: Topology) -> bytes:
             raise ValidationError("the SCADA master cannot carry a traffic weight")
         if not dev.addrs:
             raise ValidationError(f"device {name!r} has no address")
-        device_addr[name] = min(dev.addrs)
+        device_addr[name] = addr = min(dev.addrs)
+        if profile.noise_fraction and addr == NOISE_SOURCE_ADDR:  # its noise would have src == dst
+            raise ValidationError(f"device {name!r} has the noise source address {addr}")
 
     rng = random.Random(profile.seed)
     pick_addr = _picker(

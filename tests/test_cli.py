@@ -387,6 +387,20 @@ class TestSynth:
             "cyberdep synth: error: the SCADA master 'scada' has no address\n"
         )
 
+    def test_device_at_the_noise_source_address_exits_1(self, tmp_path, capsys):
+        topo = tmp_path / "t.json"
+        topo.write_text(json.dumps({"devices": [
+            {"name": "scada", "role": "scada", "addrs": ["10.0.0.1"]},
+            {"name": "dev", "role": "field", "addrs": ["203.0.113.66"]},
+        ]}))
+        out = tmp_path / "c.jsonl"
+        assert main(["synth", "--profile", "baseline", "--n", "100", "--noise-fraction", "0.1",
+                     "--topo", str(topo), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "cyberdep synth: error: device 'dev' has the noise source address 203.0.113.66\n"
+        )
+        assert not out.exists()
+
     def test_unknown_profile_exits_1(self, capsys):
         assert main(["synth", "--profile", "nonesuch"]) == 1
         assert "neither a built-in" in capsys.readouterr().err

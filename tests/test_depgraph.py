@@ -487,6 +487,11 @@ class TestGraphValidation:
     def test_parents_sorted_by_source(self, sample_graph):
         assert [e.source for e in sample_graph.parents_of("F4")] == ["P1", "P9"]
 
+    def test_parents_of_returns_the_stored_tuple(self, sample_graph):
+        parents = sample_graph.parents_of("F4")
+        assert type(parents) is tuple and sample_graph.parents_of("F4") is parents
+        assert sample_graph.parents_of("P1") == sample_graph.parents_of("nobody") == ()
+
     @pytest.mark.parametrize("normalization, edges, grand_total, message", [
         (Normalization.NONE, [("a", "s", 0.1), ("a", "s", 0.2)], 0, "duplicate edge a->s"),
         (Normalization.NONE, [("a", "ghost", 1.0)], 0,
@@ -714,6 +719,71 @@ class TestQuery:
         assert q.evidence == {"P1": True}
         assert query(sample_graph, q) == pytest.approx(0.3)
         assert copy.copy(q) == q == ConditionalQuery("F4", {"P1": True})
+
+
+def reference_query(graph, q):
+    """``query`` as it was before its one-pass rewrite: the reference it must equal."""
+    if not graph.has_node(q.target):
+        raise QueryError(f"unknown target node: {q.target!r}")
+    parents = graph.parents_of(q.target)
+    parent_names = {e.source for e in parents}
+    for name in q.evidence:
+        if name not in parent_names:
+            raise QueryError(f"{name!r} is not a parent of {q.target!r}")
+    probs = [e.probability for e in parents]
+    flags = [q.evidence.get(e.source, False) for e in parents]
+    return noisy_or(probs, flags)
+
+
+def query_outcome(evaluate, graph, q):
+    """The value and its sign, or the exception's type and text."""
+    try:
+        value = evaluate(graph, q)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return value, math.copysign(1.0, value)
+
+
+QUERY_NAMES = ("a", "b", "c", "d", "s")
+query_probabilities = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0), st.sampled_from([0.0, 1e-17, 0.5, 1.0])
+)
+
+
+def unnormalized_graph(*edges):
+    nodes = {name for edge in edges for name in edge[:2]}
+    return DependencyGraph([DgNode(n) for n in nodes], [DgEdge(*e) for e in edges])
+
+
+@st.composite
+def query_cases(draw):
+    """A NONE or normalized graph over a few names, and a query that may break its rules."""
+    pairs = draw(st.lists(st.tuples(*[st.sampled_from(QUERY_NAMES)] * 2)
+                          .filter(lambda pair: pair[0] != pair[1]), max_size=10, unique=True))
+    if draw(st.booleans()):
+        graph = unnormalized_graph(*[(src, dst, draw(query_probabilities)) for src, dst in pairs])
+    else:
+        counts = FlowCounts({pair: {READ: draw(st.integers(1, 5))} for pair in pairs})
+        graph = edge_probabilities(counts, draw(st.sampled_from(
+            [Normalization.GLOBAL, Normalization.PER_SINK])))
+    names = st.sampled_from((*QUERY_NAMES, "ghost", "x"))
+    evidence = draw(st.dictionaries(names, st.booleans(), max_size=6))
+    return graph, ConditionalQuery(draw(names), evidence)
+
+
+@given(query_cases())
+@example((unnormalized_graph(("a", "s", 0.4)), ConditionalQuery("a")))  # a leaf, no evidence
+@example((unnormalized_graph(("a", "s", 0.4), ("b", "s", 0.3)),
+          ConditionalQuery("s", {"b": False, "a": False})))
+@example((unnormalized_graph(("a", "s", 1.0), ("b", "s", 0.3)),
+          ConditionalQuery("s", {"a": True, "b": True})))
+@example((unnormalized_graph(("a", "s", 1e-17), ("b", "s", 1e-17), ("c", "s", 0.0)),
+          ConditionalQuery("s", {"c": True, "b": True, "a": True})))
+@example((unnormalized_graph(("a", "s", 0.5)), ConditionalQuery("s", {"x": False, "ghost": True})))
+@settings(max_examples=500)
+def test_query_equals_the_reference_query(case):
+    graph, q = case
+    assert query_outcome(query, graph, q) == query_outcome(reference_query, graph, q)
 
 
 # -- end-to-end build --------------------------------------------------------

@@ -200,6 +200,16 @@ class TestGenerate:
             generate(profile(topo, weights={"load-5": 1.0}), topo)
         assert str(exc.value) == "the SCADA master 'scada' has no address"
 
+    def test_device_at_the_noise_source_address_refused_with_noise(self):
+        # its noise lines would run from the device to itself, which the parser rejects
+        topo = Topology((Device("scada", DeviceRole.SCADA_MASTER, frozenset({"10.0.0.1"})),
+                         Device("dev", DeviceRole.FIELD_DEVICE, frozenset({NOISE_SOURCE_ADDR}))))
+        with pytest.raises(ValidationError) as exc:
+            generate(profile(topo, {"dev": 1.0}, n_messages=100, noise_fraction=0.1), topo)
+        assert str(exc.value) == "device 'dev' has the noise source address 203.0.113.66"
+        window = parse_packet_log(generate(profile(topo, {"dev": 1.0}, n_messages=100), topo))
+        assert (window.stats.parsed, window.stats.rejected) == (100, 0)
+
     def test_noise_interleaved_and_filterable(self, topo):
         p = profile(topo, n_messages=1000, noise_fraction=0.1)
         window = parse_packet_log(generate(p, topo))
