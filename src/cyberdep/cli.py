@@ -6,6 +6,7 @@ The parsed argparse namespace is the run configuration.
 """
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -40,8 +41,10 @@ def _write_output(path_str: str | None, chunks: Iterable[bytes]) -> None:
     chunks = iter(chunks)
     head = next(chunks, b"")  # a source that fails here leaves an existing file untouched
     if path_str is None or path_str == "-":
-        sys.stdout.buffer.write(head)
-        sys.stdout.buffer.writelines(chunks)
+        for chunk in itertools.chain((head,), chunks):
+            view = memoryview(chunk)  # a raw FileIO (python -u) may take part of it per call
+            while view:
+                view = view[sys.stdout.buffer.write(view):]
         sys.stdout.buffer.flush()
     else:
         with open(path_str, "wb") as out:

@@ -283,7 +283,8 @@ def count_packet_log(
 def parse_packet_log(stream: BinaryIO | bytes, source_label: str = "") -> CaptureWindow:
     """Parse a JSON Lines byte stream into a CaptureWindow.
 
-    Lines are judged as ``count_packet_log`` judges them. Malformed lines never
+    Every line takes the strict path, ``_judge_line``: the reference that
+    ``count_packet_log``'s fast path is tested against. Malformed lines never
     abort the stream: each is recorded in the rejection report with its 1-based
     line number. Records are ordered by ts_us, ties in input order, so downstream
     output is deterministic even when the input is not time-sorted.
@@ -293,14 +294,8 @@ def parse_packet_log(stream: BinaryIO | bytes, source_label: str = "") -> Captur
 
     records: list[PacketRecord] = []
     rejections: list[RejectedLine] = []
-    bodies, addrs, valid = {}, {}, set()  # count_packet_log's memos
-    prefix, first_sight = _CANONICAL_PREFIX.match, _first_sight
+    valid: set[str] = set()
     for line_no, raw in enumerate(stream, start=1):
-        if (p := prefix(raw)) is not None:
-            body = raw[p.end():]
-            if (key := bodies.get(body) or first_sight(body, bodies, addrs)) is not None:
-                records.append(PacketRecord(int(raw[9:p.end() - 1]), *key))  # <= 18 digits
-                continue
         item = _judge_line(raw, valid)
         if isinstance(item, str):
             rejections.append(RejectedLine(line_no, item))

@@ -1,10 +1,10 @@
-"""The canonical-line fast path of both ingest stages against the strict scanner.
+"""The canonical-line fast path of ``count_packet_log`` against the strict scanner.
 
 ``strict_scan`` below is the per-line scanner as it stood before the fast path,
 kept here as the oracle: every line is decoded and judged on its own. The fast
-path of ``count_packet_log`` and ``parse_packet_log`` must give the same counts,
-windows, rejected total, shown rejections and line numbers on any mix of
-canonical lines and their near misses.
+path must give the same counts, rejected total, shown rejections and line numbers
+on any mix of canonical lines and their near misses. ``parse_packet_log`` judges
+every line on the strict path, so ``build_graph`` must also equal the stage chain.
 """
 
 import io
@@ -198,7 +198,7 @@ ALL_OPTIONS = [
        MUTATIONS["bom"](canonical(4, "10.9.0.1", "10.9.1.1", "dnp3", "read"))] * 8,
     final_newline=False,
 )
-@example(  # ts_us read from the prefix: the smallest, then the longest (18 digits)
+@example(  # the smallest ts_us the canonical prefix admits, then the longest (18 digits)
     lines=[canonical(1, "10.9.1.1", "10.9.0.1", "dnp3", "response"),
            canonical(0, "10.9.0.1", "10.9.1.1", "dnp3", "read")],
     final_newline=True,
@@ -208,7 +208,7 @@ ALL_OPTIONS = [
            canonical(1, "10.9.1.1", "10.9.0.1", "dnp3", "response")],
     final_newline=True,
 )
-@example(  # 19 digits: off the prefix, so the strict path reads ts_us
+@example(  # 19 digits: off the prefix, so the count judges the line on the strict path
     lines=[canonical(10**18, "10.9.0.1", "10.9.1.1", "dnp3", "read"),
            canonical(1, "10.9.1.1", "10.9.0.1", "dnp3", "response")],
     final_newline=True,
@@ -243,12 +243,8 @@ def _body(line: bytes) -> bytes:
     return line.split(b",", 1)[1]
 
 
-#: Each stage that takes the fast path, over a list of byte lines, with its strict oracle.
-JUDGES = {
-    "count": (count_packet_log, strict_count),
-    "parse": (lambda lines: parse_packet_log(b"".join(lines)),
-              lambda lines: strict_window(b"".join(lines))),
-}
+#: The stage that takes the fast path, over a list of byte lines, with its strict oracle.
+JUDGES = {"count": (count_packet_log, strict_count)}
 judges = pytest.mark.parametrize("judge, strict", JUDGES.values(), ids=JUDGES)
 
 

@@ -1,11 +1,13 @@
 """End-to-end CLI behavior: subcommands, exit codes, artifact routing."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -303,6 +305,40 @@ class TestStreamedOutput:
         assert last == (f"cyberdep {command[0]}: i/o error: "
                         f"[Errno 2] No such file or directory: {str(out)!r}")
 
+    def test_stdout_that_takes_part_of_each_write_gets_every_byte(self, tmp_path,
+                                                                 monkeypatch):
+        """A raw stdout (``python -u``) may write fewer bytes than it was handed."""
+        class Trickle(io.RawIOBase):
+            def __init__(self):
+                self.data = bytearray()
+
+            def writable(self):
+                return True
+
+            def write(self, b):
+                self.data += bytes(b[:3])
+                return len(b[:3])
+
+        out = tmp_path / "capture.jsonl"
+        assert main(["synth", "--profile", "baseline", "--n", "50", "--out", str(out)]) == 0
+        trickle = Trickle()
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(buffer=trickle))
+        assert main(["synth", "--profile", "baseline", "--n", "50"]) == 0
+        assert bytes(trickle.data) == out.read_bytes()
+
+    def test_unbuffered_stdout_closed_early_is_an_io_error(self):
+        """The reader leaves after 10 bytes: the rest of the capture has nowhere to go."""
+        env = {**os.environ, "PYTHONPATH": str(Path(cyberdep.__file__).parents[1]),
+               "PYTHONUNBUFFERED": "1"}
+        run = subprocess.Popen([sys.executable, "-m", "cyberdep.cli", "synth", "--profile",
+                                "baseline", "--n", "20000"], env=env, bufsize=0,
+                               stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        with run:
+            assert run.stdout.read(10) == b'{"ts_us":1'
+            run.stdout.close()
+            _, err = run.communicate(timeout=60)
+        assert (run.returncode, err) == (1, b"cyberdep synth: i/o error: [Errno 32] Broken pipe\n")
+
 
 class TestQuery:
     def test_two_active_parents(self, graph_file, capsys):
@@ -385,6 +421,16 @@ class TestSynth:
         assert main(["synth", "--profile", "baseline", "--topo", str(topo), "--n", "5"]) == 1
         assert capsys.readouterr().err == (
             "cyberdep synth: error: the SCADA master 'scada' has no address\n"
+        )
+
+    def test_topology_without_field_devices_exits_1(self, tmp_path, capsys):
+        topo = tmp_path / "t.json"
+        topo.write_text(json.dumps({"devices": [
+            {"name": "scada", "role": "scada", "addrs": ["10.0.0.1"]},
+        ]}))
+        assert main(["synth", "--profile", "baseline", "--topo", str(topo), "--n", "5"]) == 1
+        assert capsys.readouterr().err == (
+            "cyberdep synth: error: topology has no field devices to weight\n"
         )
 
     def test_device_at_the_noise_source_address_exits_1(self, tmp_path, capsys):

@@ -334,6 +334,11 @@ class TestGraphValidation:
         with pytest.raises(ValidationError, match="negative"):
             DgEdge("a", "b", 0.5, count=-1)
 
+    def test_negative_type_count_rejected(self):
+        with pytest.raises(ValidationError) as exc:
+            DgEdge("a", "b", 0.5, count=1, by_type={READ: 2, RESPOND: -1})
+        assert str(exc.value) == "edge a->b: negative type count"
+
     def test_by_type_normalized_to_four_keys(self):
         edge = DgEdge("a", "b", 0.5, count=2, by_type={READ: 2})
         assert set(edge.by_type) == {

@@ -209,6 +209,13 @@ class TestCsv:
             (r.ts_us, r.src_addr, r.dst_addr, r.message_type) for r in window.records
         ]
 
+    def test_skips_a_blank_line_between_rows(self):
+        data = CSV_HEADER.encode() + b"\n1,10.0.0.1,10.0.0.2,read\n\n2,10.0.0.2,10.0.0.1,response\n"
+        assert parse_csv(data) == [
+            (1, "10.0.0.1", "10.0.0.2", Dnp3MessageType.READ),
+            (2, "10.0.0.2", "10.0.0.1", Dnp3MessageType.RESPOND),
+        ]
+
     def test_rejects_wrong_header(self):
         with pytest.raises(FormatError, match="header"):
             parse_csv(b"time,src,dst,kind\n")

@@ -77,6 +77,20 @@ def test_records_are_immutable_and_hash_by_value(make, hashable):
         assert pickle.loads(pickle.dumps(record)) == record
 
 
+def test_fields_cannot_be_deleted():
+    edge = DgEdge("a", "s", 0.5)
+    with pytest.raises(AttributeError) as exc:
+        del edge.source
+    assert str(exc.value) == "cannot delete field 'source'"
+    assert edge.source == "a"
+
+
+def test_records_of_other_types_are_unequal():
+    edge = DgEdge("a", "s", 0.5)
+    assert edge.__eq__(DgNode("a")) is NotImplemented
+    assert edge != DgNode("a") and edge != ("a", "s", 0.5)
+
+
 def test_replace_validates():
     profile = TrafficProfile(ScenarioKind.BASELINE, {"a": 1.0})
     assert profile.replace(seed=9) == TrafficProfile(ScenarioKind.BASELINE, {"a": 1.0}, seed=9)

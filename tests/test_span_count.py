@@ -61,6 +61,10 @@ EXAMPLES = {
         dict(lines=[SAME, b"[1]", READ, SAME, RESPONSE, SAME, READ, RESPONSE], final_newline=True,
              cpus=3, skip_lines=2),
         [2, 5, 7]),
+    "a cut inside a line over 64 KiB": (  # the first pread chunk past the midpoint has no newline
+        dict(lines=[READ, READ[:-1] + b',"x":"' + b"a" * 200_000 + b'"}', RESPONSE, SAME],
+             final_newline=True, cpus=2, skip_lines=0),
+        [0, 2]),
 }
 
 

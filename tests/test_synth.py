@@ -293,6 +293,12 @@ class TestBuiltinProfiles:
         with pytest.raises(ValidationError, match="unknown profile"):
             builtin_profile("surprise", wscc)
 
+    def test_topology_without_field_devices(self):
+        bare = Topology((Device("scada", DeviceRole.SCADA_MASTER, frozenset({"10.9.0.1"})),))
+        with pytest.raises(ValidationError) as exc:
+            builtin_profile("baseline", bare)
+        assert str(exc.value) == "topology has no field devices to weight"
+
     def test_topology_missing_boosted_device(self):
         bare = make_topology(1)  # no load-5 here
         with pytest.raises(ValidationError, match="load-5"):
