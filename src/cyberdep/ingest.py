@@ -13,8 +13,8 @@ Unknown extra fields are ignored. Malformed lines are rejected and counted,
 never fatal; whitespace-only lines are skipped without counting.
 
 All five JSON inputs (capture lines here, the other documents via ``read_json``)
-must be RFC 8259 JSON: ``NaN``/``Infinity``, integers over 4,300 digits,
-non-UTF text and over-deep nesting are rejected with a reason.
+must be RFC 8259 JSON: ``NaN``/``Infinity``, integers over 4,300 digits, non-UTF text
+(lone surrogates too, RFC 3629 §3) and over-deep nesting are rejected with a reason.
 """
 
 import io
@@ -74,10 +74,11 @@ def _json_failure(exc: ValueError | RecursionError) -> str:
 
 
 def read_json(data: BinaryIO | bytes, what: str):
-    """Decode an RFC 8259 document (UTF-8/16/32, as ``json.loads`` detects) or raise FormatError."""
+    """Decode an RFC 8259 document (UTF-8/16/32, as ``json.loads`` detects) or raise FormatError;
+    the codec is strict, as for capture lines: no lone surrogate is UTF text (RFC 3629 §3)."""
     data = data if isinstance(data, bytes) else data.read()
     try:
-        return _DECODER.decode(data.decode(json.detect_encoding(data), "surrogatepass"))
+        return _DECODER.decode(data.decode(json.detect_encoding(data)))
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"{what} is not valid json: {_json_failure(exc)}")
 

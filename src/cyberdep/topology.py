@@ -27,17 +27,16 @@ from .record import Record, store
 
 DEFAULT_TOPOLOGY_RESOURCE = "wscc9.topology.json"
 
-# Characters XML 1.0 forbids even as character references, so no device name
-# may hold one: GraphML export could not write it. A set, because the
-# equivalent regex takes milliseconds to compile at import.
-NON_XML_CHARS = frozenset(
-    map(chr, [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), *range(0xD800, 0xE000)])
-) | {"\ufffe", "\uffff"}
+# The 31 characters XML 1.0 forbids (even as character references) that UTF codecs carry:
+# C0 controls other than tab, LF and CR, and U+FFFE, U+FFFF. A set: a regex compiles at import.
+# XML also forbids lone surrogates, which no codec carries: UTF-32 ``ignore`` drops them.
+NON_XML_CHARS = frozenset(map(chr, [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF]))
 
 
 def is_xml_name(value) -> bool:
-    """True for a string with no character of ``NON_XML_CHARS``, which every export can carry."""
-    return isinstance(value, str) and NON_XML_CHARS.isdisjoint(value)
+    """True for a string every export can write: no ``NON_XML_CHARS``, no lone surrogate."""
+    return isinstance(value, str) and NON_XML_CHARS.isdisjoint(value) and (
+        value.isascii() or len(value.encode("utf-32-le", "ignore")) == 4 * len(value))
 
 
 class DeviceRole(Enum):

@@ -24,6 +24,7 @@ from cyberdep.depgraph import (
 )
 from cyberdep.errors import FormatError, ValidationError
 from cyberdep.ingest import DNP3_SYSCALLS, Dnp3MessageType
+from cyberdep.topology import NON_XML_CHARS, is_xml_name
 from cyberdep.cli import _write_output
 from cyberdep.graphio import (
     CHUNK,
@@ -316,6 +317,16 @@ def test_graphml_round_trips_names_or_rejects_them(names):
     endpoints = [(e.get("source"), e.get("target")) for e in graph_el.findall("g:edge", ns)]
     assert node_ids == [n.name for n in graph.nodes]
     assert endpoints == [e.key for e in graph.edges]
+
+
+def test_name_rule_equals_the_oracle_on_every_code_point():
+    """is_xml_name refuses exactly what NON_XML finds, lone surrogates by the encode check."""
+    names = ("a" + chr(c) for c in range(0x110000))
+    assert [ascii(n) for n in names if is_xml_name(n) == bool(NON_XML.search(n))] == []
+    assert len(NON_XML_CHARS) == 31 and not any("\ud800" <= c <= "\udfff" for c in NON_XML_CHARS)
+    assert is_xml_name("") is True
+    assert [is_xml_name(v) for v in (None, 0, 1.5, b"a", bytearray(b"a"), ["a"], ("a",))] == [
+        False] * 7
 
 
 # The renderers graphio used before its templates, kept as byte-level oracles.

@@ -27,6 +27,8 @@ BAD_JSON = {
     "infinity": (b'{"x": Infinity}', "Infinity is not a JSON number"),
     "minus-infinity": (b'{"x": [-Infinity]}', "-Infinity is not a JSON number"),
     "bad-utf8": (b'{"x": "\xff"}', "invalid utf-8"),
+    # U+D800 in UTF-8's form: a lone surrogate is not UTF-8 (RFC 3629 section 3)
+    "utf8-surrogate": (b'{"x": "\xed\xa0\x80"}', "invalid utf-8"),
     "deep": (b"[" * 100_000, "nested too deeply"),
 }
 
@@ -57,7 +59,9 @@ def test_capture_rejects_only_the_bad_line(case):
     assert (window.stats.total, window.stats.parsed, window.stats.rejected) == (3, 2, 1)
     (rejected,) = window.rejections
     assert rejected.line_no == 2
-    assert rejected.reason == (reason if case == "bad-utf8" else f"invalid json: {reason}")
+    assert rejected.reason == (
+        reason if case in ("bad-utf8", "utf8-surrogate") else f"invalid json: {reason}"
+    )
 
 
 def test_capture_rejects_nan_in_an_ignored_field():
@@ -80,6 +84,29 @@ def test_documents_keep_json_loads_encodings(encoding):
     data = json.dumps(doc, ensure_ascii=False).encode(encoding)
     assert read_json(data, "topology") == doc
     assert load_topology(io.BytesIO(data)).scada_master.name == "mästare"
+
+
+@pytest.mark.parametrize("encoding", ["utf-16-le", "utf-32-le"])
+@pytest.mark.parametrize("what", DOCUMENT_READERS)
+def test_documents_refuse_encoded_lone_surrogates(what, encoding):
+    data = '{"x": "\ud800"}'.encode(encoding, "surrogatepass")  # U+D800's code unit, unpaired
+    with pytest.raises(FormatError) as exc:
+        DOCUMENT_READERS[what](data)
+    assert str(exc.value) == f"{what} is not valid json: invalid {encoding}"
+
+
+def test_lone_surrogate_escape_decodes_and_only_names_refuse_it():
+    """A \\ud800 escape is JSON (RFC 8259 section 8.2): an ignored field keeps it."""
+    device = {"name": "scada", "role": "scada", "substation": "s\ud800", "addrs": ["10.0.0.1"]}
+    data = json.dumps({"devices": [device]}).encode()
+    assert b"\\ud800" in data
+    assert load_topology(data).scada_master.name == "scada"
+    device["name"] = "scada\ud800"
+    with pytest.raises(ValidationError) as exc:
+        load_topology(json.dumps({"devices": [device]}).encode())
+    assert str(exc.value) == (
+        "device name must be a non-empty string XML can represent, got 'scada\\ud800'"
+    )
 
 
 def test_huge_integer_that_no_float_holds_is_rejected(sample_graph):
