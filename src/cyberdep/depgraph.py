@@ -128,6 +128,7 @@ class DgNode(Record):
 _RLS, _READ, _RESPOND, _OPERATE = DNP3_SYSCALLS
 _MODELED = frozenset(DNP3_SYSCALLS)
 _NO_TYPES: Mapping[Dnp3MessageType, int] = MappingProxyType({})  # read, never stored
+_NO_PARENTS: Mapping[str, float] = MappingProxyType({})  # every node with no in-edges shares it
 
 
 class DgEdge(Record):
@@ -196,17 +197,18 @@ class DependencyGraph(Record):
     """Immutable probability-weighted digraph over device nodes.
 
     Nodes and edges are stored sorted (by name, by (source, sink)) so every
-    serialization of the same graph is byte-identical. Under GLOBAL
-    normalization the edge probabilities of a nonempty graph sum to 1.
+    serialization of the same graph is byte-identical. Under GLOBAL normalization the edge
+    probabilities of a nonempty graph sum to 1. The one derived slot, ``_parents``, maps
+    each node name, in node order, to its parents' ``{source: probability}``.
 
     The rules raise in a fixed order, each at its first breach in sorted order:
-    normalization type; duplicate node; duplicate edge or undeclared endpoint;
-    grand_total type and sign; then, when normalized, a zero probability or count
-    without the other, the global or per-sink sum, the by_type total,
-    grand_total, the count share.
+    normalization type; a node that is no DgNode, an edge that is no DgEdge;
+    duplicate node; duplicate edge or undeclared endpoint; grand_total type and
+    sign; then, when normalized, a zero probability or count without the other,
+    the global or per-sink sum, the by_type total, grand_total, the count share.
     """
 
-    __slots__ = ("nodes", "edges", "normalization", "grand_total", "_names", "_in_edges")
+    __slots__ = ("nodes", "edges", "normalization", "grand_total", "_parents")
 
     def __init__(
         self, nodes: Iterable[DgNode], edges: Iterable[DgEdge],
@@ -214,23 +216,27 @@ class DependencyGraph(Record):
     ):
         if not isinstance(normalization, Normalization):
             raise ValidationError(f"normalization must be a Normalization, got {normalization!r}")
-        nodes = tuple(sorted(nodes, key=attrgetter("name")))
-        edges = tuple(sorted(edges, key=attrgetter("source", "sink")))
+        nodes, edges = list(nodes), list(edges)
+        for kind, items, record in (("node", nodes, DgNode), ("edge", edges, DgEdge)):
+            if bad := [item for item in items if not isinstance(item, record)]:  # before the sort
+                raise ValidationError(f"{kind} must be a {record.__name__}, got {bad[0]!r}")
+        nodes.sort(key=attrgetter("name"))
+        edges.sort(key=attrgetter("source", "sink"))
         for a, b in zip(nodes, nodes[1:]):  # sorted: a duplicate follows its first copy
             if a.name == b.name:
                 raise ValidationError(f"duplicate node {a.name!r}")
-        names = frozenset(n.name for n in nodes)
+        parents = dict.fromkeys((n.name for n in nodes), _NO_PARENTS)
 
-        in_edges: dict[str, list[DgEdge]] = {}
+        in_edges: dict[str, dict[str, float]] = {}
         for prev, e in zip((None, *edges), edges):
             if prev is not None and prev.source == e.source and prev.sink == e.sink:
                 raise ValidationError(f"duplicate edge {e.source}->{e.sink}")
             for endpoint in (e.source, e.sink):
-                if endpoint not in names:
+                if endpoint not in parents:
                     raise ValidationError(
                         f"edge {e.source}->{e.sink} references undeclared node {endpoint!r}"
                     )
-            in_edges.setdefault(e.sink, []).append(e)
+            in_edges.setdefault(e.sink, {})[e.source] = e.probability
 
         if type(grand_total) is not int and not is_integer(grand_total):
             raise ValidationError(f"grand_total must be an integer, got {grand_total!r}")
@@ -239,22 +245,15 @@ class DependencyGraph(Record):
         if normalization is not Normalization.NONE:
             _check_normalized(edges, in_edges, normalization is Normalization.PER_SINK, grand_total)
 
-        store(self, "nodes", nodes)
-        store(self, "edges", edges)
+        parents.update(in_edges)
+        store(self, "nodes", tuple(nodes))
+        store(self, "edges", tuple(edges))
         store(self, "normalization", normalization)
         store(self, "grand_total", grand_total)
-        store(self, "_names", names)
-        store(self, "_in_edges", {sink: tuple(group) for sink, group in in_edges.items()})
-
-    def has_node(self, name: str) -> bool:
-        return name in self._names
-
-    def parents_of(self, name: str) -> tuple[DgEdge, ...]:
-        """In-edges of a node, sorted by source name: the stored tuple, not a copy."""
-        return self._in_edges.get(name, ())
+        store(self, "_parents", parents)
 
 
-def _check_normalized(edges: tuple[DgEdge, ...], in_edges: dict[str, list[DgEdge]],
+def _check_normalized(edges: list[DgEdge], in_edges: dict[str, dict[str, float]],
                       sink_shares: bool, grand_total: int) -> None:
     """A normalized graph's rules, each in its own pass, in ``DependencyGraph``'s raise order."""
     for e in edges:
@@ -266,8 +265,8 @@ def _check_normalized(edges: tuple[DgEdge, ...], in_edges: dict[str, list[DgEdge
         total = math.fsum(e.probability for e in edges)
         if abs(total - 1.0) > PROBABILITY_SUM_TOL:
             raise ValidationError(f"global normalization violated: probabilities sum to {total!r}")
-    for sink, group in in_edges.items() if sink_shares else ():
-        total = math.fsum(e.probability for e in group)
+    for sink, probs in in_edges.items() if sink_shares else ():
+        total = math.fsum(probs.values())  # exactly rounded: the order cannot change it
         if abs(total - 1.0) > PROBABILITY_SUM_TOL:
             raise ValidationError(f"per-sink normalization violated at {sink!r}: sum {total!r}")
     for e in edges:
@@ -275,7 +274,9 @@ def _check_normalized(edges: tuple[DgEdge, ...], in_edges: dict[str, list[DgEdge
             raise ValidationError(
                 f"edge {e.source}->{e.sink}: count {e.count} != by_type total {typed}"
             )
-    sink_totals = {sink: sum(e.count for e in group) for sink, group in in_edges.items()}
+    sink_totals: dict[str, int] = {}
+    for e in edges:
+        sink_totals[e.sink] = sink_totals.get(e.sink, 0) + e.count
     if grand_total != (total := sum(sink_totals.values())):
         raise ValidationError(f"grand_total {grand_total} != edge count total {total}")
     for e in edges:
@@ -370,16 +371,15 @@ class ConditionalQuery(Record):
 
 
 def query(graph: DependencyGraph, q: ConditionalQuery) -> float:
-    """``noisy_or`` of the target's in-edges: one pass over them and one over the evidence.
+    """``noisy_or`` of the target's parents: one parent-map lookup, one pass over the evidence.
 
     Raises QueryError for an unknown target, then for the first evidence name, in evidence
     order, that is no parent, even with a False flag. No evidence gives 0.0. Copies nothing.
     """
-    if not graph.has_node(q.target):
+    if (probs := graph._parents.get(q.target)) is None:
         raise QueryError(f"unknown target node: {q.target!r}")
     if not q.evidence:
         return 0.0
-    probs = {e.source: e.probability for e in graph.parents_of(q.target)}
     try:
         live = [p for name, flag in q.evidence.items() for p in (probs[name],) if flag]
     except KeyError as missing:

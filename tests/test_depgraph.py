@@ -10,6 +10,7 @@ import io
 import itertools
 import json
 import math
+import pickle
 import re
 import tracemalloc
 from collections import Counter
@@ -489,13 +490,30 @@ class TestGraphValidation:
         assert [n.name for n in g.nodes] == ["a", "m", "z"]
         assert [e.key for e in g.edges] == [("a", "m"), ("z", "a")]
 
-    def test_parents_sorted_by_source(self, sample_graph):
-        assert [e.source for e in sample_graph.parents_of("F4")] == ["P1", "P9"]
+    @pytest.mark.parametrize("nodes, edges, normalization, message", [
+        (["a"], [], Normalization.NONE, "node must be a DgNode, got 'a'"),
+        ((DgNode("a"), DgNode("b")), [("a", "b", 1.0)], Normalization.NONE,
+         "edge must be a DgEdge, got ('a', 'b', 1.0)"),
+        ([DgNode("a"), DgNode("a"), None], [], Normalization.NONE,  # before the duplicate
+         "node must be a DgNode, got None"),
+        ([DgNode("a")], [DgEdge("a", "ghost", 1.0), "x"], Normalization.NONE,
+         "edge must be a DgEdge, got 'x'"),
+        ([DgNode("a")], ["x"], "none", "normalization must be a Normalization, got 'none'"),
+    ])
+    def test_refuses_what_is_no_record(self, nodes, edges, normalization, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            DependencyGraph(nodes, edges, normalization)
 
-    def test_parents_of_returns_the_stored_tuple(self, sample_graph):
-        parents = sample_graph.parents_of("F4")
-        assert type(parents) is tuple and sample_graph.parents_of("F4") is parents
-        assert sample_graph.parents_of("P1") == sample_graph.parents_of("nobody") == ()
+    def test_accepts_record_subclasses(self):
+        class Node(DgNode):
+            __slots__ = ()
+
+        class Edge(DgEdge):
+            __slots__ = ()
+
+        graph = DependencyGraph(iter([Node("s"), Node("a")]), iter([Edge("a", "s", 0.25)]))
+        assert [n.name for n in graph.nodes] == ["a", "s"]
+        assert query(graph, ConditionalQuery("s", {"a": True})) == pytest.approx(0.25)
 
     @pytest.mark.parametrize("normalization, edges, grand_total, message", [
         (Normalization.NONE, [("a", "s", 0.1), ("a", "s", 0.2)], 0, "duplicate edge a->s"),
@@ -727,10 +745,13 @@ class TestQuery:
 
 
 def reference_query(graph, q):
-    """``query`` as it was before its one-pass rewrite: the reference it must equal."""
-    if not graph.has_node(q.target):
+    """``query`` as it was before its one-pass rewrite: the reference it must equal.
+
+    It scans ``graph.nodes`` and ``graph.edges``, not the graph's parent map.
+    """
+    if all(n.name != q.target for n in graph.nodes):
         raise QueryError(f"unknown target node: {q.target!r}")
-    parents = graph.parents_of(q.target)
+    parents = [e for e in graph.edges if e.sink == q.target]
     parent_names = {e.source for e in parents}
     for name in q.evidence:
         if name not in parent_names:
@@ -789,6 +810,23 @@ def query_cases(draw):
 def test_query_equals_the_reference_query(case):
     graph, q = case
     assert query_outcome(query, graph, q) == query_outcome(reference_query, graph, q)
+
+
+@given(query_cases())
+@example((unnormalized_graph(("a", "s", 0.4), ("b", "s", 0.3)), ConditionalQuery("a")))
+@example((unnormalized_graph(("a", "s", 0.4), ("b", "s", 0.3)),
+          ConditionalQuery("s", {"b": True, "a": True})))
+@settings(max_examples=200)
+def test_copies_rebuild_the_parent_map(case):
+    """A copy, a pickled graph and a replaced graph rebuild their parent map through
+    ``__init__``; the map plays no part in ``==`` or ``repr``."""
+    graph, q = case
+    expected = query_outcome(reference_query, graph, q)
+    for twin in (copy.copy(graph), pickle.loads(pickle.dumps(graph)),
+                 graph.replace(grand_total=graph.grand_total)):
+        assert twin == graph and repr(twin) == repr(graph)
+        assert twin._parents is not graph._parents
+        assert query_outcome(query, twin, q) == expected
 
 
 # -- end-to-end build --------------------------------------------------------
