@@ -63,11 +63,9 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _build_from_capture(
-    capture_path: str, topo: topology.Topology, options: depgraph.GraphOptions, verbose: bool
-):
+def _build_from_capture(capture_path: str, topo: topology.Topology, verbose: bool, **choices):
     with _existing_file(capture_path, "input").open("rb") as lines:
-        result = depgraph.build_graph(lines, topo, options)
+        result = depgraph.build_graph(lines, topo, **choices)
 
     retained = result.stats.parsed - result.stats.filtered_out
     _diag(
@@ -92,9 +90,9 @@ def _build_from_capture(
 
 def cmd_build(args) -> int:
     topo = _load_topology(args)
-    normalization = depgraph.Normalization(args.normalization)
-    options = depgraph.GraphOptions(not args.no_scada_collapse, normalization)
-    graph = _build_from_capture(args.input, topo, options, args.verbose)
+    graph = _build_from_capture(args.input, topo, args.verbose,
+                                scada_collapse=not args.no_scada_collapse,
+                                normalization=depgraph.Normalization(args.normalization))
     fmt = args.format or _FORMAT_SUFFIXES.get(Path(args.out or "").suffix.lower(), "json")
     _write_output(args.out, graphio.render_chunks(graph, fmt))
     _diag(
@@ -169,7 +167,7 @@ def cmd_compare(args) -> int:
             raise ValidationError(f"manifest[{i}]: {exc}")
     scenario.compare(runs, topology=topo)  # refuses a duplicate run
     runs = [run.replace(graph=_build_from_capture(manifest_path.parent / run.capture_ref, topo,
-                                                  depgraph.GraphOptions(), args.verbose))
+                                                  args.verbose))
             for run in runs]
 
     tol = scenario.DEFAULT_UNIFORMITY_TOL if args.uniformity_tol is None else args.uniformity_tol

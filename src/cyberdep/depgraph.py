@@ -299,23 +299,25 @@ def edge_probabilities(
 ) -> DependencyGraph:
     """Convert flow counts to a probability-weighted dependency graph.
 
-    Under GLOBAL normalization each edge gets its count / grand_total; under
-    PER_SINK, its count / (total into that sink). Zero traffic yields an
-    empty graph. ``roles`` decorates nodes for export; unlisted names get
-    DeviceRole.OTHER.
+    Under GLOBAL normalization each edge gets its count / grand_total; under PER_SINK, its
+    count / (total into that sink), and a sink with no traffic raises ValidationError, as does
+    a negative count. Zero traffic yields an empty graph. ``roles`` decorates nodes for export;
+    unlisted names get DeviceRole.OTHER.
     """
     if normalization is Normalization.NONE:
         raise ValidationError("edge_probabilities requires global or per-sink normalization")
     roles = roles or {}
-
-    grand_total = counts.grand_total
-    if grand_total == 0:
-        return DependencyGraph((), (), normalization, 0)
-
     per_sink = normalization is Normalization.PER_SINK
     sink_totals: dict[str, int] = defaultdict(int)
-    for (_, dst), by_type in counts.entries.items() if per_sink else ():
+    for (src, dst), by_type in counts.entries.items():  # negatives could sum to zero traffic
+        if min(by_type.values(), default=0) < 0:
+            raise ValidationError(f"edge {src}->{dst}: negative type count")
         sink_totals[dst] += sum(by_type.values())
+    grand_total = sum(sink_totals.values())
+    if grand_total == 0:
+        return DependencyGraph((), (), normalization, 0)
+    if per_sink and (idle := [sink for sink, n in sink_totals.items() if not n]):
+        raise ValidationError(f"per-sink normalization: no traffic into sink {idle[0]!r}")
 
     names = {name for pair in counts.entries for name in pair}  # the graph sorts them
     nodes = tuple(DgNode(name, roles.get(name, DeviceRole.OTHER)) for name in names)
@@ -392,11 +394,6 @@ def query(graph: DependencyGraph, q: ConditionalQuery) -> float:
 # ---------------------------------------------------------------------------
 
 
-class GraphOptions(NamedTuple):
-    scada_collapse: bool = True
-    normalization: Normalization = Normalization.GLOBAL
-
-
 class BuildResult(NamedTuple):
     """``build_graph``'s graph, the capture's stats and first rejected lines, and each drop.
 
@@ -410,15 +407,15 @@ class BuildResult(NamedTuple):
     rejections: tuple[RejectedLine, ...]
 
 
-def build_graph(
-    lines: Iterable[bytes], topology: Topology, options: GraphOptions = GraphOptions()
-) -> BuildResult:
+def build_graph(lines: Iterable[bytes], topology: Topology, *, scada_collapse: bool = True,
+                normalization: Normalization = Normalization.GLOBAL) -> BuildResult:
     """The whole pipeline over a capture's byte lines: count, filter, map, collapse, normalize.
 
-    Makes no record objects (a binary file iterates as lines), and filters and
-    resolves each (src_addr, dst_addr, message type) key once: its n records add
-    n to the unmapped records and n per unknown endpoint to ``by_addr``, or n to
-    its device triple, which ``count_flows`` then tallies. Deterministic.
+    The two choices are keyword-only: ``scada_collapse`` runs ``collapse_to_scada``, and
+    ``normalization`` goes to ``edge_probabilities``. Makes no record objects (a binary file
+    iterates as lines), and filters and resolves each (src_addr, dst_addr, message type) key
+    once: its n records add n to the unmapped records and n per unknown endpoint to
+    ``by_addr``, or n to its device triple, which ``count_flows`` then tallies. Deterministic.
     """
     counts, rejected, rejections = count_packet_log(lines)
     parsed = sum(counts.values())
@@ -441,9 +438,9 @@ def build_graph(
 
     flows = count_flows(named)
     del named  # also freed before the graph is built
-    if options.scada_collapse:
+    if scada_collapse:
         flows, _ = collapse_to_scada(flows, topology)
-    graph = edge_probabilities(flows, options.normalization, topology.roles())
+    graph = edge_probabilities(flows, normalization, topology.roles())
     stats = IngestStats(parsed + rejected, parsed, rejected, filtered_out)
     return BuildResult(graph, stats, UnmappedReport(unmapped, dict(unknown)), flows.dropped,
                        rejections)

@@ -20,7 +20,8 @@ class Record:
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        own = cls.__dict__.get("__slots__", ())  # a subclass's slots add to its parent's fields
+        cls._fields = cls._fields + tuple(name for name in own if not name.startswith("_"))
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

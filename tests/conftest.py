@@ -79,14 +79,15 @@ INTRA_DEVICE_ROWS = [
 ]
 
 
-def staged_build(window, topo, options) -> BuildResult:
+def staged_build(window, topo, *, scada_collapse=True,
+                 normalization=Normalization.GLOBAL) -> BuildResult:
     """The library stages one by one: the reference ``build_graph`` must match."""
     filtered = filter_dnp3(window)
     mapped, unmapped = map_window(topo, filtered)
     counts = count_flows(mapped)
-    if options.scada_collapse:
+    if scada_collapse:
         counts, _ = collapse_to_scada(counts, topo)
-    graph = edge_probabilities(counts, options.normalization, topo.roles())
+    graph = edge_probabilities(counts, normalization, topo.roles())
     return BuildResult(graph, filtered.stats, unmapped, counts.dropped, window.rejections[:20])
 
 

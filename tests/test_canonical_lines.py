@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cyberdep import ingest
-from cyberdep.depgraph import GraphOptions, Normalization, build_graph
+from cyberdep.depgraph import Normalization, build_graph
 from cyberdep.ingest import (
     _DECODER, CaptureWindow, IngestStats, PacketRecord, RejectedLine, _json_failure,
     _validate_record, count_packet_log, parse_packet_log,
@@ -183,7 +183,7 @@ def capture_lines(draw):
 
 
 ALL_OPTIONS = [
-    GraphOptions(collapse, normalization)
+    {"scada_collapse": collapse, "normalization": normalization}
     for collapse in (True, False)
     for normalization in (Normalization.GLOBAL, Normalization.PER_SINK)
 ]
@@ -224,8 +224,8 @@ def test_count_packet_log_equals_strict_scan(lines, final_newline):
     assert Counter((r.src_addr, r.dst_addr, r.message_type) for r in window.records) == strict[0]
 
     for options in ALL_OPTIONS:
-        result = build_graph(io.BytesIO(data), TOPOLOGY, options)
-        assert result == staged_build(window, TOPOLOGY, options)
+        result = build_graph(io.BytesIO(data), TOPOLOGY, **options)
+        assert result == staged_build(window, TOPOLOGY, **options)
 
 
 def _count_calls(monkeypatch, *names: str) -> Counter:

@@ -13,13 +13,24 @@ import pytest
 
 import cyberdep
 from cyberdep.cli import _write_output, main
-from cyberdep.depgraph import DependencyGraph
+from cyberdep.depgraph import DependencyGraph, Normalization, build_graph
 from cyberdep.errors import FormatError, ValidationError
 from cyberdep.graphio import (
     CHUNK, FORMATS, load_graph_json, render_graph,
 )
 from cyberdep.scenario import ScenarioKind, ScenarioRun
+from cyberdep.topology import load_topology
 from conftest import INTRA_DEVICE_ROWS, equal_flow_rows, find_edge, jsonl_bytes, make_topology
+
+
+# Each build flag set and the keyword choices it must hand to build_graph.
+FLAG_CHOICES = {
+    (): {},
+    ("--no-scada-collapse",): {"scada_collapse": False},
+    ("--normalization", "per-sink"): {"normalization": Normalization.PER_SINK},
+    ("--no-scada-collapse", "--normalization", "per-sink"):
+        {"scada_collapse": False, "normalization": Normalization.PER_SINK},
+}
 
 
 @pytest.fixture
@@ -184,8 +195,12 @@ class TestBuild:
     @pytest.mark.parametrize("collapse_args, edges", [
         ([], [["dev-01", "scada"]]),
         (["--no-scada-collapse"], [["dev-01", "scada"], ["scada", "dev-01"]]),
+        (["--normalization", "per-sink"], [["dev-01", "scada"]]),
+        (["--no-scada-collapse", "--normalization", "per-sink"],
+         [["dev-01", "scada"], ["scada", "dev-01"]]),
     ])
     def test_intra_device_traffic_dropped(self, tmp_path, capsys, collapse_args, edges):
+        """Each flag set writes the graph ``build_graph`` gives for its keyword choices."""
         topo = tmp_path / "topo.json"
         topo.write_text(json.dumps({"devices": [
             {"name": "scada", "role": "scada", "addrs": ["10.9.0.1", "10.9.0.2"]},
@@ -197,6 +212,10 @@ class TestBuild:
         out, err = capsys.readouterr()
         assert rc == 0
         assert [[e["source"], e["sink"]] for e in json.loads(out)["edges"]] == edges
+        with capture.open("rb") as lines:
+            graph = build_graph(lines, load_topology(topo.read_bytes()),
+                                **FLAG_CHOICES[tuple(collapse_args)]).graph
+        assert out == render_graph(graph, "json").decode()
         assert err.splitlines()[:2] == [
             f"{capture}: parsed 7/7 lines (0 rejected); dnp3 retained 7 (filtered out 0)",
             f"{capture}: mapped 7 records (0 unmapped); non-scada flow dropped: 3",

@@ -27,7 +27,6 @@ from cyberdep.depgraph import (
     DgEdge,
     DgNode,
     FlowCounts,
-    GraphOptions,
     Normalization,
     build_graph,
     collapse_to_scada,
@@ -297,6 +296,20 @@ class TestEdgeProbabilities:
         assert edge.by_type[READ] == 2
         assert edge.by_type[RESPOND] == 3
         assert edge.by_type[DO] == 0
+
+    def test_per_sink_refuses_a_sink_without_traffic(self):
+        counts = FlowCounts({("a", "s"): {READ: 0}, ("b", "t"): {READ: 2}})
+        with pytest.raises(ValidationError,
+                           match=r"^per-sink normalization: no traffic into sink 's'$"):
+            edge_probabilities(counts, Normalization.PER_SINK)
+        edge = find_edge(edge_probabilities(counts), "a", "s")  # global: a zero-count edge
+        assert (edge.count, edge.probability) == (0, 0.0)
+
+    @pytest.mark.parametrize("normalization", [Normalization.GLOBAL, Normalization.PER_SINK])
+    def test_refuses_a_negative_count(self, normalization):
+        counts = FlowCounts({("a", "s"): {READ: 1}, ("b", "s"): {READ: -1}})  # sums to zero
+        with pytest.raises(ValidationError, match=r"^edge b->s: negative type count$"):
+            edge_probabilities(counts, normalization)
 
 
 @given(
@@ -868,7 +881,7 @@ class TestBuildGraph:
     def test_no_collapse_keeps_directional_edges(self):
         topo = make_topology(1)
         data = jsonl_bytes(equal_flow_rows(topo, 4))
-        graph = build_graph(io.BytesIO(data), topo, GraphOptions(scada_collapse=False)).graph
+        graph = build_graph(io.BytesIO(data), topo, scada_collapse=False).graph
         assert find_edge(graph, "scada", "dev-01") is not None
         assert find_edge(graph, "dev-01", "scada") is not None
 
@@ -879,9 +892,8 @@ class TestBuildGraph:
     def test_intra_device_traffic_dropped(self, collapse, edges):
         topo = intra_device_topology()
         data = jsonl_bytes(INTRA_DEVICE_ROWS)
-        options = GraphOptions(collapse)
-        for result in (build_graph(io.BytesIO(data), topo, options),
-                       staged_build(parse_packet_log(data), topo, options)):
+        for result in (build_graph(io.BytesIO(data), topo, scada_collapse=collapse),
+                       staged_build(parse_packet_log(data), topo, scada_collapse=collapse)):
             assert {e.key for e in result.graph.edges} == edges
             assert result.graph.grand_total == 4
             assert result.scada_dropped == 3  # mapped 7 = grand_total 4 + dropped 3
@@ -903,7 +915,7 @@ class TestBuildGraph:
                  "dnp3_fn": "read"},
                 {"ts_us": 8, "src": "10.9.0.1", "dst": "10.9.1.1", "proto": "modbus"}]
         result = build_graph(io.BytesIO(jsonl_bytes(rows)), intra_device_topology(),
-                             GraphOptions(collapse))
+                             scada_collapse=collapse)
         stats = result.stats
         assert (stats.parsed, stats.filtered_out, result.unmapped.records) == (9, 1, 1)
         assert len(calls) == 1
@@ -921,7 +933,7 @@ class TestBuildGraph:
         if collapse:
             counts, scada_dropped = collapse_to_scada(counts, topo)
             assert scada_dropped == counts.dropped
-        result = build_graph(io.BytesIO(data), topo, GraphOptions(collapse))
+        result = build_graph(io.BytesIO(data), topo, scada_collapse=collapse)
         assert edge_probabilities(counts, roles=topo.roles()) == result.graph
         assert counts.dropped == result.scada_dropped == 3  # mapped 7 = grand_total 4 + 3
         assert unmapped.records == 0
@@ -979,7 +991,7 @@ capture_lines = st.lists(
     max_size=80,
 )
 ALL_OPTIONS = [
-    GraphOptions(collapse, normalization)
+    {"scada_collapse": collapse, "normalization": normalization}
     for collapse in (True, False)
     for normalization in (Normalization.GLOBAL, Normalization.PER_SINK)
 ]
@@ -1001,8 +1013,8 @@ class TestBuildGraphFromLines:
         data = b"\n".join(lines) + (b"\n" if final_newline else b"")
         window = parse_packet_log(data)
         for options in ALL_OPTIONS:
-            result = build_graph(io.BytesIO(data), topo, options)
-            assert result == staged_build(window, topo, options)
+            result = build_graph(io.BytesIO(data), topo, **options)
+            assert result == staged_build(window, topo, **options)
             stats = result.stats
             mapped = stats.parsed - stats.filtered_out - result.unmapped.records
             assert mapped == result.graph.grand_total + result.scada_dropped
@@ -1021,7 +1033,7 @@ class TestBuildGraphFromLines:
             for (src, dst, fn), n in flows.items() for _ in range(n)
         )
         per_sink, global_ = (
-            build_graph(io.BytesIO(data), STREAM_TOPOLOGY, GraphOptions(True, normalization))
+            build_graph(io.BytesIO(data), STREAM_TOPOLOGY, normalization=normalization)
             for normalization in (Normalization.PER_SINK, Normalization.GLOBAL)
         )
         assert per_sink.graph.normalization is Normalization.PER_SINK

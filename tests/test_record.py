@@ -10,10 +10,10 @@ from cyberdep.depgraph import (
     DependencyGraph,
     DgEdge,
     DgNode,
-    GraphOptions,
     Normalization,
 )
 from cyberdep.errors import ValidationError
+from cyberdep.graphio import FORMATS, render_graph
 from cyberdep.ingest import (
     CaptureWindow,
     Dnp3MessageType,
@@ -21,7 +21,7 @@ from cyberdep.ingest import (
     PacketRecord,
     RejectedLine,
 )
-from cyberdep.record import Record
+from cyberdep.record import Record, store
 from cyberdep.scenario import ComparisonReport, ScenarioKind, ScenarioRun
 from cyberdep.synth import TrafficProfile
 from cyberdep.topology import Device, DeviceRole, Topology, UnmappedReport
@@ -45,7 +45,6 @@ RECORDS = [
     (lambda: DgEdge("a", "s", 0.5, 1, {READ: 1}), True),
     (graph, True),
     (lambda: ConditionalQuery("s", {"a": True}), False),
-    (lambda: GraphOptions(False, Normalization.PER_SINK), True),
     (lambda: PacketRecord(1, "10.0.0.1", "10.0.0.2", READ), True),
     (lambda: IngestStats(3, 2, 1, 0), True),
     (lambda: RejectedLine(2, "not a json object"), True),
@@ -75,6 +74,68 @@ def test_records_are_immutable_and_hash_by_value(make, hashable):
         assert not hasattr(record, "_replace") and not hasattr(record, "_make")
         assert copy.copy(record) == record
         assert pickle.loads(pickle.dumps(record)) == record
+
+
+class Node(DgNode):
+    __slots__ = ()
+
+
+class Edge(DgEdge):
+    __slots__ = ()
+
+
+class NoSlotsNode(DgNode):  # no __slots__ of its own: it adds no field
+    pass
+
+
+class LabeledNode(DgNode):
+    __slots__ = ("label", "_seen")
+
+    def __init__(self, name, role=DeviceRole.OTHER, label=""):
+        super().__init__(name, role)
+        store(self, "label", label)
+
+
+def test_subclass_fields_follow_the_parents():
+    assert Node._fields == NoSlotsNode._fields == DgNode._fields == ("name", "role")
+    assert Edge._fields == DgEdge._fields
+    assert LabeledNode._fields == ("name", "role", "label")
+    assert LabeledNode("a", label="x") != LabeledNode("a", label="y")
+
+
+SUBCLASSED = [
+    (Node, DgNode("a", DeviceRole.FIELD_DEVICE)),
+    (NoSlotsNode, DgNode("a", DeviceRole.FIELD_DEVICE)),
+    (Edge, DgEdge("a", "s", 0.5, 1, {READ: 1})),
+]
+
+
+@pytest.mark.parametrize("cls, base", SUBCLASSED, ids=[cls.__name__ for cls, _ in SUBCLASSED])
+def test_subclass_records_keep_their_fields(cls, base):
+    record = cls(*base._values())
+    first = base._fields[0]  # the node's name, the edge's source
+    other = record.replace(**{first: "b"})
+    assert record == cls(*base._values()) and record != other
+    assert type(other) is cls and getattr(other, first) == "b"
+    assert other._values()[1:] == record._values()[1:]
+    assert repr(record) == repr(base).replace(type(base).__name__, cls.__name__, 1)
+    for rebuilt in (copy.copy(record), pickle.loads(pickle.dumps(record))):
+        assert type(rebuilt) is cls and rebuilt == record
+
+
+def test_graph_of_subclass_records_renders_as_the_base_one():
+    nodes = [DgNode("s", DeviceRole.SCADA_MASTER), DgNode("a"), DgNode("b")]
+    edges = [DgEdge("a", "s", 0.75, 3, {READ: 3}), DgEdge("b", "s", 0.25, 1, {READ: 1})]
+    base = DependencyGraph(nodes, edges, Normalization.GLOBAL, 4)
+    sub = DependencyGraph([Node(*n._values()) for n in nodes],
+                          [Edge(*e._values()) for e in edges], Normalization.GLOBAL, 4)
+    for graph in (sub, copy.deepcopy(sub), pickle.loads(pickle.dumps(sub))):
+        assert graph == sub
+        for fmt in FORMATS:
+            assert render_graph(graph, fmt) == render_graph(base, fmt)
+    renamed = [Node("c", DeviceRole.SCADA_MASTER), *sub.nodes[:2]]
+    assert sub != DependencyGraph(renamed, [e.replace(sink="c") for e in sub.edges],
+                                  Normalization.GLOBAL, 4)
 
 
 def test_fields_cannot_be_deleted():
