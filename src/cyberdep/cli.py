@@ -9,6 +9,7 @@ import argparse
 import itertools
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Iterable
 
@@ -40,16 +41,12 @@ def _load_topology(args) -> topology.Topology:
 def _write_output(path_str: str | None, chunks: Iterable[bytes]) -> None:
     chunks = iter(chunks)
     head = next(chunks, b"")  # a source that fails here leaves an existing file untouched
-    if path_str is None or path_str == "-":
+    with nullcontext(sys.stdout.buffer) if path_str in (None, "-") else open(path_str, "wb") as out:
         for chunk in itertools.chain((head,), chunks):
             view = memoryview(chunk)  # a raw FileIO (python -u) may take part of it per call
             while view:
-                view = view[sys.stdout.buffer.write(view):]
-        sys.stdout.buffer.flush()
-    else:
-        with open(path_str, "wb") as out:
-            out.write(head)
-            out.writelines(chunks)
+                view = view[out.write(view):]
+        out.flush()
 
 
 def _tolerance(text: str) -> float:

@@ -54,16 +54,12 @@ class FlowCounts(NamedTuple):
     """Per (source device, sink device) message counts with a per-type breakdown.
 
     ``dropped`` counts the mapped records left out of ``entries``, so
-    mapped = grand_total + dropped.
+    mapped = the entries' counts summed + ``dropped``.
     """
 
     entries: dict[tuple[str, str], dict[Dnp3MessageType, int]]
     window_label: str = ""
     dropped: int = 0
-
-    @property
-    def grand_total(self) -> int:
-        return sum(sum(by_type.values()) for by_type in self.entries.values())
 
 
 def count_flows(

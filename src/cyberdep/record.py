@@ -21,6 +21,7 @@ class Record:
     def __init_subclass__(cls):
         super().__init_subclass__()
         own = cls.__dict__.get("__slots__", ())  # a subclass's slots add to its parent's fields
+        own = (own,) if isinstance(own, str) else own  # a string names one slot, as type() reads it
         cls._fields = cls._fields + tuple(name for name in own if not name.startswith("_"))
 
     def _values(self) -> tuple:

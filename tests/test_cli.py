@@ -324,6 +324,24 @@ class TestStreamedOutput:
         assert last == (f"cyberdep {command[0]}: i/o error: "
                         f"[Errno 2] No such file or directory: {str(out)!r}")
 
+    @pytest.mark.parametrize("command", [
+        ["build", "--in", "capture.jsonl", "--topo", "topo.json"],
+        ["export", "--in", "graph.json", "--format", "graphml"],
+        ["synth", "--profile", "baseline", "--n", "10"],
+        ["compare", "--in", "manifest.json", "--topo", "topo.json"],
+    ], ids=lambda argv: argv[0])
+    def test_out_dash_is_stdout(self, capture_file, topo_file, graph_file, tmp_path,
+                                monkeypatch, capsysbinary, command):
+        monkeypatch.chdir(tmp_path)
+        Path("manifest.json").write_text(json.dumps(
+            [{"scenario": "baseline", "run_id": 1, "capture": "capture.jsonl"}]))
+        outputs = []
+        for extra in ([], ["--out", "-"]):
+            assert main([*command, *extra]) == 0
+            outputs.append(capsysbinary.readouterr().out)
+        assert outputs[0] and outputs[1] == outputs[0]
+        assert not Path("-").exists()
+
     def test_stdout_that_takes_part_of_each_write_gets_every_byte(self, tmp_path,
                                                                  monkeypatch):
         """A raw stdout (``python -u``) may write fewer bytes than it was handed."""

@@ -158,6 +158,11 @@ def mm(src, dst, mt=READ):
     return (src, dst, mt)
 
 
+def flow_total(counts: FlowCounts) -> int:
+    """Every type of every entry summed: the records ``counts`` did not drop."""
+    return sum(sum(by_type.values()) for by_type in counts.entries.values())
+
+
 class TestCountFlows:
     def test_counts_by_pair_and_type(self):
         counts = count_flows(
@@ -169,12 +174,12 @@ class TestCountFlows:
         assert counts.entries[("scada", "dev-01")] == {READ: 2}
         assert counts.entries[("dev-01", "scada")] == {RESPOND: 1}
         assert counts.entries[("scada", "dev-02")] == {DO: 1}
-        assert counts.grand_total == 4
-        # grand_total sums every type of every entry
-        assert FlowCounts({("a", "b"): {READ: 2, DO: 3}, ("b", "a"): {RESPOND: 1}}).grand_total == 6
+        assert flow_total(counts) == 4
+        # the total sums every type of every entry
+        assert flow_total(FlowCounts({("a", "b"): {READ: 2, DO: 3}, ("b", "a"): {RESPOND: 1}})) == 6
 
     def test_empty(self):
-        assert count_flows([]).grand_total == 0
+        assert flow_total(count_flows([])) == 0
 
     @settings(max_examples=300)
     @given(st.lists(st.tuples(st.sampled_from(["scada", "dev-01", "dev-02"]),
@@ -190,7 +195,7 @@ class TestCountFlows:
             got = count_flows(mapped, "w")
             assert got.entries == expected.entries
             assert got.dropped == expected.dropped
-            assert got.grand_total == expected.grand_total == len(triples) - expected.dropped
+            assert flow_total(got) == flow_total(expected) == len(triples) - expected.dropped
             assert got == expected
 
 
@@ -208,7 +213,7 @@ class TestCollapseToScada:
             ("dev-01", "scada"): {READ: 3, RESPOND: 2},
             ("dev-02", "scada"): {DO: 1},
         }
-        assert collapsed.grand_total == counts.grand_total
+        assert flow_total(collapsed) == flow_total(counts)
 
     def test_drops_flows_not_touching_master(self):
         topo = make_topology(2)

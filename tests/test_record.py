@@ -103,6 +103,21 @@ def test_subclass_fields_follow_the_parents():
     assert LabeledNode("a", label="x") != LabeledNode("a", label="y")
 
 
+class Named(Record):
+    __slots__ = "ab"  # one slot named "ab", as Python reads a string
+
+    def __init__(self, ab):
+        store(self, "ab", ab)
+
+
+def test_string_slots_name_one_field():
+    record = Named(1)
+    assert Named._fields == ("ab",)
+    assert record == Named(1) != Named(2)
+    assert repr(record) == "Named(ab=1)"
+    assert copy.copy(record) == record and record.replace(ab=2) == Named(2)
+
+
 SUBCLASSED = [
     (Node, DgNode("a", DeviceRole.FIELD_DEVICE)),
     (NoSlotsNode, DgNode("a", DeviceRole.FIELD_DEVICE)),

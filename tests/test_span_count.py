@@ -214,3 +214,11 @@ def test_no_fork_counts_serially(big_capture, monkeypatch):
     monkeypatch.delattr(os, "fork")
     with open(big_capture, "rb") as f:
         assert count_packet_log(f) == count_packet_log(io.BytesIO(big_capture.read_bytes()))
+
+
+def test_usable_cpus_without_affinity_is_the_cpu_count(monkeypatch):
+    """Where ``fork`` exists but ``sched_getaffinity`` does not (macOS), every CPU counts."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert spans._usable_cpus() == os.cpu_count()
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # the count is unknown: one span
+    assert spans._usable_cpus() == 1
