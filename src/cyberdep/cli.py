@@ -41,7 +41,7 @@ def _load_topology(args) -> topology.Topology:
 def _write_output(path_str: str | None, chunks: Iterable[bytes]) -> None:
     chunks = iter(chunks)
     head = next(chunks, b"")  # a source that fails here leaves an existing file untouched
-    with nullcontext(sys.stdout.buffer) if path_str in (None, "-") else open(path_str, "wb") as out:
+    with nullcontext(sys.stdout.buffer) if path_str is None else open(path_str, "wb") as out:
         for chunk in itertools.chain((head,), chunks):
             view = memoryview(chunk)  # a raw FileIO (python -u) may take part of it per call
             while view:
@@ -275,6 +275,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "out", None) == "-":  # '-' and no --out both mean stdout
+        args.out = None
     try:
         return _COMMANDS[args.command](args)
     except CyberDepError as exc:

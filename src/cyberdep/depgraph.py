@@ -11,11 +11,11 @@ Two normalization schemes are supported for turning counts into edge
 probabilities:
 
 * ``global`` (default): edge probability = edge count / total message count
-  in the window, so all edge probabilities sum to 1.
+  in the window.
 * ``per-sink``: edge count / total count into that edge's sink.
 
-Graphs loaded from external files may carry ``none``, meaning probabilities
-were supplied directly and no sum constraint is enforced.
+Each probability must be exactly that count share, correctly rounded. Graphs loaded
+from external files may carry ``none``: probabilities supplied directly, no share rule.
 """
 
 import math
@@ -30,8 +30,6 @@ from .ingest import DNP3_SYSCALLS, Dnp3MessageType, IngestStats, RejectedLine
 from .ingest import count_packet_log, is_integer
 from .record import Record, store
 from .topology import DeviceRole, Topology, UnmappedReport, is_xml_name
-
-PROBABILITY_SUM_TOL = 1e-9
 
 
 class Normalization(Enum):
@@ -193,15 +191,15 @@ class DependencyGraph(Record):
     """Immutable probability-weighted digraph over device nodes.
 
     Nodes and edges are stored sorted (by name, by (source, sink)) so every
-    serialization of the same graph is byte-identical. Under GLOBAL normalization the edge
-    probabilities of a nonempty graph sum to 1. The one derived slot, ``_parents``, maps
+    serialization of the same graph is byte-identical. Under GLOBAL or PER_SINK normalization
+    each edge probability is exactly its count share. The one derived slot, ``_parents``, maps
     each node name, in node order, to its parents' ``{source: probability}``.
 
     The rules raise in a fixed order, each at its first breach in sorted order:
     normalization type; a node that is no DgNode, an edge that is no DgEdge;
     duplicate node; duplicate edge or undeclared endpoint; grand_total type and
     sign; then, when normalized, a zero probability or count without the other,
-    the global or per-sink sum, the by_type total, grand_total, the count share.
+    the by_type total, grand_total, a zero share denominator, the count share.
     """
 
     __slots__ = ("nodes", "edges", "normalization", "grand_total", "_parents")
@@ -239,7 +237,7 @@ class DependencyGraph(Record):
         if grand_total < 0:
             raise ValidationError("grand_total must be >= 0")
         if normalization is not Normalization.NONE:
-            _check_normalized(edges, in_edges, normalization is Normalization.PER_SINK, grand_total)
+            _check_normalized(edges, normalization is Normalization.PER_SINK, grand_total)
 
         parents.update(in_edges)
         store(self, "nodes", tuple(nodes))
@@ -249,35 +247,29 @@ class DependencyGraph(Record):
         store(self, "_parents", parents)
 
 
-def _check_normalized(edges: list[DgEdge], in_edges: dict[str, dict[str, float]],
-                      sink_shares: bool, grand_total: int) -> None:
+def _check_normalized(edges: list[DgEdge], sink_shares: bool, grand_total: int) -> None:
     """A normalized graph's rules, each in its own pass, in ``DependencyGraph``'s raise order."""
-    for e in edges:
+    for e in edges:  # a share that underflows to 0.0 still needs a zero count
         if (e.probability == 0.0) != (e.count == 0):
             raise ValidationError(
                 f"edge {e.source}->{e.sink}: zero probability must coincide with zero count"
             )
-    if not sink_shares and edges:
-        total = math.fsum(e.probability for e in edges)
-        if abs(total - 1.0) > PROBABILITY_SUM_TOL:
-            raise ValidationError(f"global normalization violated: probabilities sum to {total!r}")
-    for sink, probs in in_edges.items() if sink_shares else ():
-        total = math.fsum(probs.values())  # exactly rounded: the order cannot change it
-        if abs(total - 1.0) > PROBABILITY_SUM_TOL:
-            raise ValidationError(f"per-sink normalization violated at {sink!r}: sum {total!r}")
+    sink_totals: dict[str, int] = {}
     for e in edges:
         if e.count != (typed := sum(e.by_type.values())):
             raise ValidationError(
                 f"edge {e.source}->{e.sink}: count {e.count} != by_type total {typed}"
             )
-    sink_totals: dict[str, int] = {}
-    for e in edges:
         sink_totals[e.sink] = sink_totals.get(e.sink, 0) + e.count
     if grand_total != (total := sum(sink_totals.values())):
         raise ValidationError(f"grand_total {grand_total} != edge count total {total}")
+    if sink_shares and (idle := [sink for sink, n in sink_totals.items() if not n]):
+        raise ValidationError(f"per-sink normalization: no traffic into sink {idle[0]!r}")
+    if edges and not grand_total:  # only a global graph gets here with no traffic
+        raise ValidationError("global normalization: no traffic on any edge")
     for e in edges:
         share = e.count / (sink_totals[e.sink] if sink_shares else grand_total)
-        if abs(e.probability - share) > PROBABILITY_SUM_TOL:
+        if e.probability != share:  # exact: the correctly rounded share, as repr round-trips it
             raise ValidationError(
                 f"edge {e.source}->{e.sink}: probability {e.probability!r} != count share {share!r}"
             )

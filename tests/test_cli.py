@@ -19,7 +19,8 @@ from cyberdep.graphio import (
     CHUNK, FORMATS, load_graph_json, render_graph,
 )
 from cyberdep.scenario import ScenarioKind, ScenarioRun
-from cyberdep.topology import load_topology
+from cyberdep.synth import generate, load_profile
+from cyberdep.topology import default_topology, load_topology
 from conftest import INTRA_DEVICE_ROWS, equal_flow_rows, find_edge, jsonl_bytes, make_topology
 
 
@@ -338,9 +339,11 @@ class TestStreamedOutput:
         outputs = []
         for extra in ([], ["--out", "-"]):
             assert main([*command, *extra]) == 0
-            outputs.append(capsysbinary.readouterr().out)
-        assert outputs[0] and outputs[1] == outputs[0]
+            outputs.append(capsysbinary.readouterr())
+        assert outputs[0].out and outputs[1] == outputs[0]  # stdout and stderr alike
         assert not Path("-").exists()
+        if command[0] in ("build", "synth"):
+            assert b" -> stdout" in outputs[1].err
 
     def test_stdout_that_takes_part_of_each_write_gets_every_byte(self, tmp_path,
                                                                  monkeypatch):
@@ -401,6 +404,21 @@ class TestQuery:
                      "--active", "P9"]) == 1
         assert "not a parent" in capsys.readouterr().err
 
+    def test_probability_off_its_share_exits_1(self, tmp_path, capsys):
+        """Within 1e-9 of a 1e-12 share is still off it: the graph is refused, not queried."""
+        rest = 10**12 - 1
+        doc = {"nodes": [{"name": n} for n in ("a", "b", "s")],
+               "edges": [{"source": "a", "sink": "s", "probability": 9e-10, "count": 1,
+                          "by_type": {"read": 1}},
+                         {"source": "b", "sink": "s", "probability": rest / 10**12,
+                          "count": rest, "by_type": {"read": rest}}],
+               "normalization": "global", "grand_total": 10**12}
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(doc))
+        assert main(["query", "--in", str(path), "--target", "s", "--active", "a"]) == 1
+        assert capsys.readouterr() == ("", "cyberdep query: error: edge a->s: probability 9e-10 "
+                                           "!= count share 1e-12\n")
+
 
 class TestSynth:
     def test_builtin_profile_writes_n_lines(self, tmp_path):
@@ -433,6 +451,24 @@ class TestSynth:
         assert main(["synth", "--profile", str(prof), "--topo", str(topo_file),
                      "--n", "3", "--seed", "9", "--out", str(out)]) == 0
         assert out.read_bytes().count(b"\n") == 3
+
+    def test_profile_document_n_and_seed_overrides(self, tmp_path, capsys):
+        """--n 3000 --seed 2 replace a document's 50 messages and seed 9."""
+        prof = tmp_path / "profile.json"
+        prof.write_text(json.dumps({
+            "scenario": "dos_only", "n_messages": 50, "seed": 9,
+            "weights": {"gen-1": 1, "gen-2": 1, "gen-3": 1, "load-5": 5, "load-6": 5, "load-8": 1},
+        }))
+        out = tmp_path / "capture.jsonl"
+        assert main(["synth", "--profile", str(prof), "--n", "3000", "--seed", "2",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == f"synth dos_only: 3000 dnp3 messages, seed 2 -> {out}\n"
+        capture = out.read_bytes()
+        assert capture.count(b"\n") == 3000
+        profile, topo = load_profile(prof.read_bytes()), default_topology()
+        assert capture == generate(profile.replace(n_messages=3000, seed=2), topo)
+        assert capture != generate(profile.replace(n_messages=3000), topo)
+        run_to_stdout_and_file(tmp_path, "build", "--in", str(out))  # file bytes = stdout's
 
     @pytest.mark.parametrize("flag, message", [
         (["--n", "-1"], "n_messages must be >= 0"),

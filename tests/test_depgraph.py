@@ -21,7 +21,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from cyberdep import depgraph
 from cyberdep.depgraph import (
-    PROBABILITY_SUM_TOL,
     ConditionalQuery,
     DependencyGraph,
     DgEdge,
@@ -457,8 +456,35 @@ class TestGraphValidation:
     def test_global_sum_enforced(self):
         nodes = (DgNode("a"), DgNode("b"), DgNode("s"))
         edges = (DgEdge("a", "s", 0.5, count=1), DgEdge("b", "s", 0.6, count=1))
-        with pytest.raises(ValidationError, match="sum"):
+        with pytest.raises(ValidationError, match=r"^edge a->s: count 1 != by_type total 0$"):
             DependencyGraph(nodes, edges, Normalization.GLOBAL, grand_total=2)
+        typed = [edge.replace(by_type={READ: 1}) for edge in edges]  # sums to 1.1: a share is off
+        with pytest.raises(ValidationError,
+                           match=r"^edge b->s: probability 0\.6 != count share 0\.5$"):
+            DependencyGraph(nodes, typed, Normalization.GLOBAL, grand_total=2)
+
+    @pytest.mark.parametrize("normalization", [Normalization.GLOBAL, Normalization.PER_SINK])
+    def test_share_is_exact_at_small_probabilities(self, normalization):
+        """A 1e-12 share within 1e-9 of its probability is still a breach."""
+        nodes = (DgNode("a"), DgNode("b"), DgNode("s"))
+        rest = 10**12 - 1
+        edges = [DgEdge("a", "s", 9e-10, 1, {READ: 1}),
+                 DgEdge("b", "s", rest / 10**12, rest, {READ: rest})]
+        with pytest.raises(ValidationError,
+                           match=r"^edge a->s: probability 9e-10 != count share 1e-12$"):
+            DependencyGraph(nodes, edges, normalization, 10**12)
+        edges[0] = edges[0].replace(probability=1e-12)
+        graph = DependencyGraph(nodes, edges, normalization, 10**12)
+        assert query(graph, ConditionalQuery("s", {"a": True})) == 1e-12
+
+    def test_share_is_the_divisions_own_rounding(self):
+        """The share is the correctly rounded division: its next float up is refused."""
+        counts = FlowCounts({("a", "s"): {READ: 1}, ("b", "s"): {READ: 2}, ("c", "s"): {READ: 7}})
+        graph = edge_probabilities(counts)
+        assert [e.probability for e in graph.edges] == [0.1, 0.2, 0.7]
+        off = [e.replace(probability=math.nextafter(e.probability, 2.0)) for e in graph.edges]
+        with pytest.raises(ValidationError, match=r"^edge a->s: probability 0\.10000000000000002"):
+            DependencyGraph(graph.nodes, off, Normalization.GLOBAL, graph.grand_total)
 
     def test_zero_probability_needs_zero_count_under_normalization(self):
         nodes = (DgNode("a"), DgNode("s"))
@@ -540,10 +566,10 @@ class TestGraphValidation:
         (Normalization.NONE, [], -1, "grand_total must be >= 0"),
         (Normalization.GLOBAL, [("a", "s", 0.0, 2), ("b", "s", 1.0, 0)], 2,
          "edge a->s: zero probability must coincide with zero count"),
-        (Normalization.GLOBAL, [("a", "s", 0.5, 1), ("b", "s", 0.6, 1)], 2,
-         "global normalization violated: probabilities sum to 1.1"),
+        (Normalization.GLOBAL, [("a", "s", 0.5, 1), ("b", "s", 0.6, 1)], 2,  # sums to 1.1
+         "edge b->s: probability 0.6 != count share 0.5"),
         (Normalization.PER_SINK, [("a", "s", 1.0, 1), ("a", "t", 0.5, 1), ("b", "t", 0.4, 1)],
-         3, "per-sink normalization violated at 't': sum 0.9"),
+         3, "edge b->t: probability 0.4 != count share 0.5"),  # t's shares sum to 0.9
         (Normalization.GLOBAL, [("a", "s", 1.0, 5, 4)], 5, "edge a->s: count 5 != by_type total 4"),
         (Normalization.GLOBAL, [("a", "s", 1.0, 5)], 3, "grand_total 3 != edge count total 5"),
         (Normalization.PER_SINK, [("a", "s", 0.5, 1), ("b", "s", 0.5, 3)], 4,
@@ -551,6 +577,13 @@ class TestGraphValidation:
         (Normalization.GLOBAL, [("a", "s", 0.5, 1), ("b", "s", 0.5, 3)], 4,
          "edge a->s: probability 0.5 != count share 0.25"),
         ("global", [("a", "s", 1.0, 1)], 1, "normalization must be a Normalization, got 'global'"),
+        (Normalization.GLOBAL, [("a", "s", 0.0, 0), ("b", "s", 0.0, 0)], 0,
+         "global normalization: no traffic on any edge"),
+        (Normalization.PER_SINK, [("a", "s", 0.5, 1), ("a", "t", 0.0, 0), ("b", "s", 0.5, 1)], 2,
+         "per-sink normalization: no traffic into sink 't'"),
+        (Normalization.GLOBAL, [("a", "s", 9e-10, 1),
+                                ("b", "s", (10**12 - 1) / 10**12, 10**12 - 1)], 10**12,
+         "edge a->s: probability 9e-10 != count share 1e-12"),
     ])
     def test_each_rule_names_its_breach(self, normalization, edges, grand_total, message):
         def edge(src, dst, p, count=0, typed=None):
@@ -578,7 +611,7 @@ def one_pass_checks(nodes, edges, normalization, grand_total):
             raise ValidationError(f"duplicate node {n.name!r}")
         names.add(n.name)
     normalized = normalization is not Normalization.NONE
-    keys, in_edges, sink_totals = set(), {}, {}
+    keys, sink_totals = set(), {}
     zero_mismatch = type_mismatch = None
     for e in edges:
         key = (e.source, e.sink)
@@ -590,7 +623,6 @@ def one_pass_checks(nodes, edges, normalization, grand_total):
                 raise ValidationError(
                     f"edge {e.source}->{e.sink} references undeclared node {endpoint!r}"
                 )
-        in_edges.setdefault(e.sink, []).append(e)
         if normalized:
             if zero_mismatch is None and (e.probability == 0.0) != (e.count == 0):
                 zero_mismatch = e
@@ -607,15 +639,6 @@ def one_pass_checks(nodes, edges, normalization, grand_total):
         raise ValidationError(
             f"edge {e.source}->{e.sink}: zero probability must coincide with zero count"
         )
-    sink_shares = normalization is Normalization.PER_SINK
-    if not sink_shares and edges:
-        total = math.fsum(e.probability for e in edges)
-        if abs(total - 1.0) > PROBABILITY_SUM_TOL:
-            raise ValidationError(f"global normalization violated: probabilities sum to {total!r}")
-    for sink, group in in_edges.items() if sink_shares else ():
-        total = math.fsum(e.probability for e in group)
-        if abs(total - 1.0) > PROBABILITY_SUM_TOL:
-            raise ValidationError(f"per-sink normalization violated at {sink!r}: sum {total!r}")
     if e := type_mismatch:
         raise ValidationError(
             f"edge {e.source}->{e.sink}: count {e.count} != by_type total "
@@ -624,12 +647,18 @@ def one_pass_checks(nodes, edges, normalization, grand_total):
     total = sum(sink_totals.values())
     if grand_total != total:
         raise ValidationError(f"grand_total {grand_total} != edge count total {total}")
-    for e in edges:
-        share = e.count / (sink_totals[e.sink] if sink_shares else grand_total)
-        if abs(e.probability - share) > PROBABILITY_SUM_TOL:
+    sink_shares = normalization is Normalization.PER_SINK
+    denominators = [sink_totals[e.sink] if sink_shares else grand_total for e in edges]
+    for e, denominator in zip(edges, denominators):
+        if denominator == 0 and sink_shares:
+            raise ValidationError(f"per-sink normalization: no traffic into sink {e.sink!r}")
+        if denominator == 0:
+            raise ValidationError("global normalization: no traffic on any edge")
+    for e, denominator in zip(edges, denominators):
+        if e.probability != e.count / denominator:
             raise ValidationError(
                 f"edge {e.source}->{e.sink}: probability {e.probability!r} "
-                f"!= count share {share!r}"
+                f"!= count share {e.count / denominator!r}"
             )
 
 
@@ -641,8 +670,8 @@ def rule_breaking_graphs(draw):
     endpoint ``g`` that no node names, a duplicate edge, by_type totals that may
     miss their counts by one. Probabilities are the global or per-sink shares
     (most often those of the graph's own normalization) of the counts or of
-    other weights, or drawn freely. grand_total is the count total, off by one,
-    -1 or 2.5.
+    other weights, sometimes the next float up from a share, or drawn freely.
+    grand_total is the count total, off by one, -1 or 2.5.
     """
     flaw = st.sampled_from([False] * 5 + [True])
     names = ["a", "b", "c", "s"]
@@ -669,7 +698,8 @@ def rule_breaking_graphs(draw):
         if shares == "none":  # drawn freely
             probs.append(draw(st.sampled_from([0.0, 0.25, 0.5, 1.0])))
         else:
-            probs.append(weight / denominator if denominator else 0.0)
+            share = weight / denominator if denominator else 0.0
+            probs.append(min(math.nextafter(share, 2.0), 1.0) if draw(flaw) else share)
 
     typed_off = draw(st.booleans())
     edges = []
@@ -695,12 +725,20 @@ def raised(check, *args):
 @given(rule_breaking_graphs())
 @example(([DgNode("a")], [], Normalization.GLOBAL, 1))
 @example(([DgNode("a"), DgNode("a")], [DgEdge("a", "g", 0.5)], "global", -1))
-@example((  # each sink's sum is checked in the order the sorted edges reach it
+@example((  # the shares are checked in sorted edge order
     [DgNode(n) for n in "abcs"],
     [DgEdge("b", "c", 0.5, 1, {READ: 1}), DgEdge("a", "s", 0.5, 1, {READ: 1})],
     Normalization.PER_SINK, 2))
 @example(([DgNode("a"), DgNode("s")], [DgEdge("a", "s", 1.0, 2, {READ: 3})],
           Normalization.GLOBAL, 3))
+@example(([DgNode(n) for n in "abs"], [  # a share within 1e-9 of its probability
+    DgEdge("a", "s", 9e-10, 1, {READ: 1}),
+    DgEdge("b", "s", (10**12 - 1) / 10**12, 10**12 - 1, {READ: 10**12 - 1})],
+    Normalization.GLOBAL, 10**12))
+@example(([DgNode(n) for n in "abs"], [DgEdge("a", "s", 0.0, 0), DgEdge("b", "s", 0.0, 0)],
+          Normalization.GLOBAL, 0))
+@example(([DgNode(n) for n in "abst"], [DgEdge("b", "s", 1.0, 1, {READ: 1}),
+                                        DgEdge("a", "t", 0.0, 0)], Normalization.PER_SINK, 1))
 @settings(max_examples=500)
 def test_rules_raise_as_the_one_pass_checks_did(case):
     assert raised(DependencyGraph, *case) == raised(one_pass_checks, *case)

@@ -190,7 +190,23 @@ class TestJson:
             "normalization": "global",
             "grand_total": 2,
         }
-        with pytest.raises(Exception, match="sum"):
+        with pytest.raises(ValidationError, match=r"^edge a->s: count 2 != by_type total 0$"):
+            load_graph_json(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("normalization, edges, grand_total, message", [
+        ("global", [("a", "s", 9e-10, 1), ("b", "s", (10**12 - 1) / 10**12, 10**12 - 1)],
+         10**12, "edge a->s: probability 9e-10 != count share 1e-12"),
+        ("global", [("a", "s", 0.0, 0), ("b", "s", 0.0, 0)], 0,
+         "global normalization: no traffic on any edge"),
+        ("per-sink", [("a", "s", 1.0, 1), ("b", "t", 0.0, 0)], 1,
+         "per-sink normalization: no traffic into sink 't'"),
+    ])
+    def test_share_rules_revalidated_on_load(self, normalization, edges, grand_total, message):
+        doc = {"nodes": [{"name": n} for n in "abst"],
+               "edges": [{"source": src, "sink": dst, "probability": p, "count": n,
+                          "by_type": {"read": n}} for src, dst, p, n in edges],
+               "normalization": normalization, "grand_total": grand_total}
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             load_graph_json(json.dumps(doc).encode())
 
     def test_inconsistent_counts_rejected_on_load(self):

@@ -1,9 +1,11 @@
-"""The README's Library example runs as written against the package root."""
+"""The README's Library example runs as written against the package root, and its Graph
+JSON example loads."""
 
 import re
 from pathlib import Path
 
 import cyberdep
+from cyberdep.graphio import load_graph_json
 from cyberdep.synth import builtin_profile, generate
 from cyberdep.topology import default_topology
 
@@ -31,3 +33,10 @@ def test_package_root_exports_the_documented_names():
     documented = {name.strip() for name in imported.split(",")} - {""}
     assert sorted(cyberdep.__all__) == sorted(documented | {"BuildResult", "DependencyGraph"})
     assert all(hasattr(cyberdep, name) for name in cyberdep.__all__)
+
+
+def test_graph_json_example_loads():
+    text = README.read_text(encoding="utf-8").split("**Graph JSON**", 1)[1]
+    block = re.search(r"```json\n(.*?)```", text, re.S).group(1)
+    graph = load_graph_json(block.encode())
+    assert [(e.source, e.probability) for e in graph.edges] == [("load-5", 0.25), ("load-6", 0.75)]
