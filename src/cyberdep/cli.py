@@ -27,7 +27,7 @@ def _diag(message: str) -> None:
 
 def _existing_file(path_str: str, what: str) -> Path:
     path = Path(path_str)
-    if not path.is_file():
+    if not path.exists() or path.is_dir():  # a pipe or FIFO is read like a file
         raise FormatError(f"{what} file not found: {path}")
     return path
 
@@ -123,7 +123,7 @@ def cmd_synth(args) -> int:
         profile = synth.builtin_profile(args.profile, topo, **overrides)
     else:
         path = Path(args.profile)
-        if not path.is_file():
+        if not path.exists() or path.is_dir():
             raise FormatError(
                 f"profile {args.profile!r} is neither a built-in "
                 f"({', '.join(_BUILTIN_PROFILES)}) nor a file"

@@ -12,14 +12,15 @@ from types import SimpleNamespace
 import pytest
 
 import cyberdep
+from cyberdep import ingest, spans
 from cyberdep.cli import _write_output, main
-from cyberdep.depgraph import DependencyGraph, Normalization, build_graph
+from cyberdep.depgraph import DependencyGraph, Normalization, build_graph, noisy_or
 from cyberdep.errors import FormatError, ValidationError
 from cyberdep.graphio import (
     CHUNK, FORMATS, load_graph_json, render_graph,
 )
 from cyberdep.scenario import ScenarioKind, ScenarioRun
-from cyberdep.synth import generate, load_profile
+from cyberdep.synth import builtin_profile, generate, load_profile
 from cyberdep.topology import default_topology, load_topology
 from conftest import INTRA_DEVICE_ROWS, equal_flow_rows, find_edge, jsonl_bytes, make_topology
 
@@ -121,9 +122,19 @@ class TestBuild:
         assert doc["edges"][0]["source"] == "load-5"
 
     def test_missing_input_exits_1(self, tmp_path, capsys):
-        rc = main(["build", "--in", str(tmp_path / "absent.jsonl")])
-        assert rc == 1
-        assert "not found" in capsys.readouterr().err
+        for path in (tmp_path / "absent.jsonl", tmp_path):  # a directory is no input file
+            assert main(["build", "--in", str(path)]) == 1
+            assert capsys.readouterr() == ("", f"cyberdep build: error: input file not found: "
+                                               f"{path}\n")
+
+    def test_input_from_a_pipe(self, capture_file, topo_file, capsysbinary):
+        """A pipe is no regular file, but the CLI reads it as one."""
+        env = {**os.environ, "PYTHONPATH": str(Path(cyberdep.__file__).parents[1])}
+        piped = subprocess.run([sys.executable, "-m", "cyberdep.cli", "build", "--in", "/dev/stdin",
+                                "--topo", str(topo_file)], input=capture_file.read_bytes(),
+                               env=env, capture_output=True, timeout=60)
+        assert main(["build", "--in", str(capture_file), "--topo", str(topo_file)]) == 0
+        assert (piped.returncode, piped.stdout) == (0, capsysbinary.readouterr().out), piped.stderr
 
     def test_missing_topology_exits_1(self, capture_file, tmp_path, capsys):
         rc = main(["build", "--in", str(capture_file),
@@ -221,6 +232,34 @@ class TestBuild:
             f"{capture}: parsed 7/7 lines (0 rejected); dnp3 retained 7 (filtered out 0)",
             f"{capture}: mapped 7 records (0 unmapped); non-scada flow dropped: 3",
         ]
+
+    def test_split_build_equals_a_serial_build(self, tmp_path, wscc, monkeypatch, capsysbinary):
+        """The CLI's build of a file cut in two, with malformed lines on both sides of the
+        cut, writes the serial build's graph bytes and -v stderr."""
+        data = generate(builtin_profile("dos_only", wscc, n_messages=2000, seed=5), wscc)
+        lines = data.splitlines(keepends=True)
+        mid = data.count(b"\n", 0, len(data) // 2)  # the line that holds the middle byte
+        bad = b'[1]\n\n\xff\n{"ts_us":1,"src":"10.0.0.1","dst":"10.0.0.1","proto":"dnp3"}\n'
+        capture = tmp_path / "capture.jsonl"
+        capture.write_bytes(b"".join(lines[:mid] + [bad, lines[mid], bad] + lines[mid + 1:]))
+        cuts, count_spans = [], spans.count_spans
+
+        def recorded_count_spans(fd, at):
+            cuts.append(at)
+            return count_spans(fd, at)
+
+        monkeypatch.setattr(spans, "count_spans", recorded_count_spans)
+        monkeypatch.setattr(spans, "_usable_cpus", lambda: 2)
+        builds = []
+        for min_span in (4096, 1 << 62):  # a split build, then a serial one
+            monkeypatch.setattr(ingest, "_MIN_SPAN", min_span)
+            assert main(["build", "--in", str(capture), "-v"]) == 0
+            builds.append(capsysbinary.readouterr())
+        [[_, cut, _]] = cuts
+        assert capture.read_bytes()[cut - len(lines[mid]) - len(bad):cut + len(bad)] == (
+            bad + lines[mid] + bad)
+        assert builds[0] == builds[1]
+        assert builds[0].err.count(b"rejected line") == 6  # a blank line is skipped
 
 
 class TestExport:
@@ -380,29 +419,55 @@ class TestStreamedOutput:
         assert (run.returncode, err) == (1, b"cyberdep synth: i/o error: [Errno 32] Broken pipe\n")
 
 
+@pytest.fixture(scope="module")
+def built_graph_file(tmp_path_factory):
+    """The graph ``build`` writes from a 2,000-message baseline synth capture."""
+    work = tmp_path_factory.mktemp("built")
+    assert main(["synth", "--profile", "baseline", "--n", "2000", "--seed", "1",
+                 "--out", str(work / "capture.jsonl")]) == 0
+    assert main(["build", "--in", str(work / "capture.jsonl"),
+                 "--out", str(work / "graph.json")]) == 0
+    return work / "graph.json"
+
+
 class TestQuery:
-    def test_two_active_parents(self, graph_file, capsys):
+    def test_two_active_parents(self, graph_file, built_graph_file, capsys):
         assert main(["query", "--in", str(graph_file), "--target", "F4",
                      "--active", "P1,P9"]) == 0
         assert capsys.readouterr().out == "0.86\n"
+        # the library's noisy-OR over the in-edges listed in the graph's edges, to 6 digits
+        parents = [e for e in load_graph_json(built_graph_file.read_bytes()).edges
+                   if e.sink == "scada"]
+        p = noisy_or([e.probability for e in parents],
+                     [e.source in ("load-5", "load-6") for e in parents])
+        assert main(["query", "--in", str(built_graph_file), "--target", "scada",
+                     "--active", "load-5,load-6"]) == 0
+        assert capsys.readouterr().out == f"{p:.6g}\n"
 
     def test_single_active_parent(self, graph_file, capsys):
         assert main(["query", "--in", str(graph_file), "--target", "F4",
                      "--active", "P9"]) == 0
         assert capsys.readouterr().out == "0.8\n"
 
-    def test_no_evidence(self, graph_file, capsys):
+    def test_no_evidence(self, graph_file, built_graph_file, capsys):
         assert main(["query", "--in", str(graph_file), "--target", "F4"]) == 0
+        assert capsys.readouterr().out == "0\n"
+        assert main(["query", "--in", str(built_graph_file), "--target", "load-5"]) == 0  # a leaf
         assert capsys.readouterr().out == "0\n"
 
     def test_unknown_target_exits_1(self, graph_file, capsys):
         assert main(["query", "--in", str(graph_file), "--target", "F99"]) == 1
-        assert "F99" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", "cyberdep query: error: unknown target node: 'F99'\n")
 
-    def test_non_parent_evidence_exits_1(self, graph_file, capsys):
+    def test_non_parent_evidence_exits_1(self, graph_file, built_graph_file, capsys):
         assert main(["query", "--in", str(graph_file), "--target", "F7",
                      "--active", "P9"]) == 1
-        assert "not a parent" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", "cyberdep query: error: 'P9' is not a parent of 'F7'\n")
+        # refused even after a valid parent
+        assert main(["query", "--in", str(built_graph_file), "--target", "scada",
+                     "--active", "load-5,nope"]) == 1
+        assert capsys.readouterr() == (
+            "", "cyberdep query: error: 'nope' is not a parent of 'scada'\n")
 
     def test_probability_off_its_share_exits_1(self, tmp_path, capsys):
         """Within 1e-9 of a 1e-12 share is still off it: the graph is refused, not queried."""
@@ -669,8 +734,8 @@ class TestCompare:
         assert main(["compare", "--in", str(path)]) == 1
         assert "unknown scenario" in capsys.readouterr().err
 
-    # sha256 of compare's stdout and stderr on the four scenario captures CI makes
-    # (synth --n 8000 --seed 1), taken while compare still read graph options.
+    # sha256 of compare's stdout and stderr on the four scenario captures of
+    # synth --n 8000 --seed 1, taken while compare still read graph options.
     FOUR_SCENARIO_SHA256 = {
         (): ("84d5e24c3501f4df45bb76337d102fd2234237884711e4784e5fa467ae269de3",
              "2c2294515f5152915e3d4d929496798723718a53762795299394d1ced826a2b1"),
@@ -692,6 +757,8 @@ class TestCompare:
             assert main(["compare", "--in", "manifest.json", *argv]) == 0
             out, err = capsysbinary.readouterr()
             assert (hashlib.sha256(out).hexdigest(), hashlib.sha256(err).hexdigest()) == digests
+            assert run_to_stdout_and_file(tmp_path, "compare", "--in", "manifest.json",
+                                          *argv) == out
 
     def test_capture_paths_relative_to_manifest(self, tmp_path):
         sub = tmp_path / "runs"
